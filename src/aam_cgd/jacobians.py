@@ -2,9 +2,12 @@
 images, Gauss-Newton Hessians and the second-order blocks used by Newton
 steps.
 
-Gradients use central differences on the masked grid, one-sided differences
-where only one neighbour is masked and zero where the pixel is isolated.
-Second derivatives are built by applying the same operator twice.
+The image gradient is a fixed sparse linear map per reference frame
+(`ReferenceFrame.diff_x`/`diff_y`): central differences on the masked
+grid, one-sided differences where only one neighbour is masked and zero
+where the pixel is isolated.  Second derivatives apply the same operator
+twice.  The Newton cross block J_{a_j}^T r of every appearance column
+uses the operator's adjoint, so no per-column gradient is formed.
 """
 
 from dataclasses import dataclass
@@ -15,25 +18,9 @@ from .appearance import AppearanceModel, BpoOperator, project_out
 from .errors import DimensionError
 
 
-def _directional_diff(vals, minus, plus):
-    """First difference of (k, F) channel grids along one axis given dense
-    neighbour indices (-1 when the neighbour is outside the mask)."""
-    has_m = minus >= 0
-    has_p = plus >= 0
-    vm = vals[:, np.where(has_m, minus, 0)]
-    vp = vals[:, np.where(has_p, plus, 0)]
-    g = np.zeros_like(vals)
-    both = has_m & has_p
-    g[:, both] = 0.5 * (vp[:, both] - vm[:, both])
-    only_p = has_p & ~has_m
-    g[:, only_p] = vp[:, only_p] - vals[:, only_p]
-    only_m = has_m & ~has_p
-    g[:, only_m] = vals[:, only_m] - vm[:, only_m]
-    return g
-
-
 def image_gradient(v, frame):
-    """Per-channel spatial gradient of a channel-major frame vector.
+    """Per-channel spatial gradient of a channel-major frame vector: the
+    frame's difference operators applied to each channel.
 
     Returns (grad_x, grad_y), each of length F * k.
     """
@@ -41,11 +28,8 @@ def image_gradient(v, frame):
     F = frame.n_pixels
     if v.size % F != 0:
         raise DimensionError("vector length is not a multiple of F")
-    vals = v.reshape(-1, F)
-    nb = frame.neighbors
-    gx = _directional_diff(vals, nb[:, 0], nb[:, 1])
-    gy = _directional_diff(vals, nb[:, 2], nb[:, 3])
-    return gx.ravel(), gy.ravel()
+    vals = v.reshape(-1, F).T
+    return (frame.diff_x @ vals).T.ravel(), (frame.diff_y @ vals).T.ravel()
 
 
 def second_gradient(v, frame):
@@ -117,15 +101,12 @@ def residual_curvature(second, warp_jac, weighted_residual, active=None):
         warp_jac = warp_jac[active]
     r = np.asarray(weighted_residual, dtype=np.float64).reshape(
         -1, warp_jac.shape[0])
-    wxx = np.einsum("cf,cf->f", r, comps[0])
-    wxy = np.einsum("cf,cf->f", r, 0.5 * (comps[1] + comps[2]))
-    wyy = np.einsum("cf,cf->f", r, comps[3])
+    wxx = np.einsum("cf,cf->f", r, comps[0])[:, None]
+    wxy = np.einsum("cf,cf->f", r, 0.5 * (comps[1] + comps[2]))[:, None]
+    wyy = np.einsum("cf,cf->f", r, comps[3])[:, None]
     dx = warp_jac[:, 0, :]
     dy = warp_jac[:, 1, :]
-    H = (np.einsum("f,fm,fn->mn", wxx, dx, dx)
-         + np.einsum("f,fm,fn->mn", wxy, dx, dy)
-         + np.einsum("f,fm,fn->mn", wxy, dy, dx)
-         + np.einsum("f,fm,fn->mn", wyy, dy, dy))
+    H = dx.T @ (wxx * dx + wxy * dy) + dy.T @ (wxy * dx + wyy * dy)
     return 0.5 * (H + H.T)
 
 
@@ -133,16 +114,24 @@ def basis_gradient_stack(appearance, frame, warp_jac, residual, active=None):
     """Rows J_{a_j}^T r for every appearance basis column a_j.
 
     Returns (m, P): the derivative of each basis column's warped value
-    contracted with the residual, used by the Newton cross blocks.
+    contracted with the residual, used by the Newton cross blocks.  With
+    D the frame's difference operators, J_{a_j}^T r = a_j . U where
+    U[:, p] = Dx^T (r * dW_x[:, p]) + Dy^T (r * dW_y[:, p]) per channel,
+    so the m columns cost two sparse adjoint products and one GEMM.  A
+    residual over `active` pixels enters as zero on the other pixels.
     """
-    m = appearance.n_components
-    P = warp_jac.shape[2]
-    out = np.zeros((m, P))
-    for j in range(m):
-        gx, gy = image_gradient(appearance.basis[:, j], frame)
-        Jj = steepest_descent(gx, gy, warp_jac, active=active)
-        out[j] = Jj.T @ residual
-    return out
+    F, _, P = warp_jac.shape
+    k = appearance.n_features // F
+    r = np.asarray(residual, dtype=np.float64).reshape(k, -1)
+    if active is not None:
+        r_full = np.zeros((k, F))
+        r_full[:, active] = r
+        r = r_full
+    rt = r.T[:, :, None]                                  # (F, k, 1)
+    U = (frame.diff_x.T @ (rt * warp_jac[:, None, 0, :]).reshape(F, -1)
+         + frame.diff_y.T @ (rt * warp_jac[:, None, 1, :]).reshape(F, -1))
+    U = U.reshape(F, k, P).transpose(1, 0, 2).reshape(k * F, P)
+    return appearance.basis.T @ U
 
 
 @dataclass(frozen=True)
@@ -151,8 +140,9 @@ class NewtonTerms:
 
     Asymmetric composition uses (cc, cp, pp); bidirectional additionally
     fills (cq, pq, qq).  Block `cc` is A_act^T A_act over the active rows
-    of the appearance basis; it is the identity only when every pixel is
-    active, since the basis is orthonormal over the full frame.
+    of the appearance basis.  On the full frame (`active` None) it is set
+    to the identity, which `AppearanceModel.validate` guarantees the basis
+    Gram matrix to be to 1e-10; on a pixel subset it is computed.
     """
 
     cc: np.ndarray
@@ -204,7 +194,7 @@ def newton_terms_asymmetric(appearance, frame, warp_jac, residual,
     Jar = basis_gradient_stack(appearance, frame, warp_jac, residual,
                                active=active)
     A_act = _active_basis(appearance, frame, active)
-    cc = A_act.T @ A_act
+    cc = np.eye(A_act.shape[1]) if active is None else A_act.T @ A_act
     cp = beta * Jar - A_act.T @ J_t
     curv_i = residual_curvature(grad2_image, warp_jac, residual,
                                 active=active)
@@ -219,7 +209,7 @@ def newton_terms_bidirectional(appearance, frame, warp_jac, residual,
                                active=None):
     """Second-order blocks for independent image/model increments."""
     A_act = _active_basis(appearance, frame, active)
-    cc = A_act.T @ A_act
+    cc = np.eye(A_act.shape[1]) if active is None else A_act.T @ A_act
     Jar = basis_gradient_stack(appearance, frame, warp_jac, residual,
                                active=active)
     cp = -A_act.T @ J_i

@@ -12,6 +12,7 @@ Warped image vectors are channel-major: vec[ch * F + i] holds channel
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.spatial import Delaunay, QhullError
 
 from .errors import DegeneracyError, DimensionError
@@ -32,6 +33,8 @@ class ReferenceFrame:
     index_grid: np.ndarray   # (height, width) dense index or -1
     positions: np.ndarray    # (F, 2) masked pixel positions, mean coords
     neighbors: np.ndarray    # (F, 4) dense index of -x, +x, -y, +y or -1
+    diff_x: csr_matrix       # (F, F) first difference along x
+    diff_y: csr_matrix       # (F, F) first difference along y
 
     @property
     def n_pixels(self):
@@ -129,6 +132,22 @@ def rasterize_barycentric(vertices, triangles, queries,
     return tri_id, bary
 
 
+def _difference_operator(minus, plus):
+    """Sparse first difference along one axis from the dense neighbour
+    indices (-1 outside the mask): central where both neighbours are
+    masked, one-sided where one is, zero where the pixel is isolated."""
+    F = minus.size
+    idx = np.arange(F)
+    has_m, has_p = minus >= 0, plus >= 0
+    keep = has_m | has_p
+    w = np.where(has_m & has_p, 0.5, 1.0)[keep]
+    lo = np.where(has_m, minus, idx)[keep]
+    hi = np.where(has_p, plus, idx)[keep]
+    rows = np.concatenate([idx[keep], idx[keep]])
+    return csr_matrix((np.concatenate([-w, w]),
+                       (rows, np.concatenate([lo, hi]))), shape=(F, F))
+
+
 def build_reference_frame(model, margin=0):
     """Delaunay-triangulate the mean shape and rasterize its pixel grid."""
     pts = shape_to_points(model.mean)
@@ -169,9 +188,11 @@ def build_reference_frame(model, margin=0):
         neighbors[ok, axis] = index_grid[r2[ok], c2[ok]]
 
     origin = np.array([x0, y0], dtype=np.float64)
-    frame = ReferenceFrame(width=width, height=height, origin=origin,
-                           mask=mask, index_grid=index_grid,
-                           positions=positions, neighbors=neighbors)
+    frame = ReferenceFrame(
+        width=width, height=height, origin=origin, mask=mask,
+        index_grid=index_grid, positions=positions, neighbors=neighbors,
+        diff_x=_difference_operator(neighbors[:, 0], neighbors[:, 1]),
+        diff_y=_difference_operator(neighbors[:, 2], neighbors[:, 3]))
     tri = Triangulation(triangles=triangles, pixel_tri=pixel_tri,
                         barycentric=barycentric)
     return frame.validate(), tri.validate()

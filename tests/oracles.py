@@ -2,7 +2,9 @@
 
 The cost oracles evaluate data terms by actually resampling reference-frame
 images under incremental warps; they never touch the analytic Jacobian
-code.  Test images are bilinear fields (a + b x + c y + d x y), which
+code.  The gradient and Newton-block oracles spell the library's fast
+forms out by definition: neighbour by neighbour, column by column, pixel
+by pixel.  Test images are bilinear fields (a + b x + c y + d x y), which
 bilinear interpolation and grid central differences both reproduce
 exactly, so analytic and finite-difference quantities must agree to
 machine precision on interior pixels.
@@ -11,6 +13,7 @@ machine precision on interior pixels.
 import numpy as np
 
 from aam_cgd.appearance import AppearanceModel, appearance_instance
+from aam_cgd.jacobians import steepest_descent
 from aam_cgd.warp import fill_outside_mask, sample_frame_image
 
 
@@ -34,6 +37,65 @@ def active_rows(frame, active, n_channels):
     F = frame.n_pixels
     return np.concatenate([np.asarray(active) + ch * F
                            for ch in range(n_channels)])
+
+
+def directional_diff(vals, minus, plus):
+    """First difference of (k, F) channel grids along one axis given dense
+    neighbour indices (-1 when the neighbour is outside the mask): central,
+    one-sided or zero, written out case by case."""
+    has_m = minus >= 0
+    has_p = plus >= 0
+    vm = vals[:, np.where(has_m, minus, 0)]
+    vp = vals[:, np.where(has_p, plus, 0)]
+    g = np.zeros_like(vals)
+    both = has_m & has_p
+    g[:, both] = 0.5 * (vp[:, both] - vm[:, both])
+    only_p = has_p & ~has_m
+    g[:, only_p] = vp[:, only_p] - vals[:, only_p]
+    only_m = has_m & ~has_p
+    g[:, only_m] = vals[:, only_m] - vm[:, only_m]
+    return g
+
+
+def neighbour_gradient(v, frame):
+    """Channel-major (grad_x, grad_y) from the frame's neighbour table."""
+    vals = np.asarray(v, dtype=np.float64).reshape(-1, frame.n_pixels)
+    nb = frame.neighbors
+    return (directional_diff(vals, nb[:, 0], nb[:, 1]).ravel(),
+            directional_diff(vals, nb[:, 2], nb[:, 3]).ravel())
+
+
+def basis_gradient_loop(appearance, frame, warp_jac, residual, active=None):
+    """J_{a_j}^T r by definition: per basis column, its image gradient,
+    its steepest-descent images on the active pixels, then J_j^T r."""
+    out = np.zeros((appearance.n_components, warp_jac.shape[2]))
+    for j in range(appearance.n_components):
+        gx, gy = neighbour_gradient(appearance.basis[:, j], frame)
+        Jj = steepest_descent(gx, gy, warp_jac, active=active)
+        out[j] = Jj.T @ residual
+    return out
+
+
+def residual_curvature_sum(second, warp_jac, weighted_residual,
+                           active=None):
+    """sum over active pixels f and channels c of
+    r_cf dW_f^T S_cf dW_f, with S_cf the symmetrized 2x2 second-derivative
+    matrix of channel c at pixel f; one pixel at a time."""
+    F = warp_jac.shape[0]
+    gxx, gxy, gyx, gyy = (np.asarray(g, dtype=np.float64).reshape(-1, F)
+                          for g in second)
+    pixels = np.arange(F) if active is None else np.asarray(active)
+    r = np.asarray(weighted_residual, dtype=np.float64).reshape(
+        -1, pixels.size)
+    P = warp_jac.shape[2]
+    H = np.zeros((P, P))
+    for i, f in enumerate(pixels):
+        dW = warp_jac[f]
+        for c in range(r.shape[0]):
+            off = 0.5 * (gxy[c, f] + gyx[c, f])
+            S = np.array([[gxx[c, f], off], [off, gyy[c, f]]])
+            H += r[c, i] * (dW.T @ S @ dW)
+    return H
 
 
 def bilinear_vector(frame, coeffs_per_channel):

@@ -1,18 +1,35 @@
 import numpy as np
 import pytest
 
-from aam_cgd.appearance import (BpoOperator, appearance_instance,
-                                project_out)
-from aam_cgd.jacobians import (NewtonTerms, blend_gradients, gn_hessian,
-                               image_gradient, newton_terms_asymmetric,
-                               newton_terms_bidirectional, second_gradient,
-                               steepest_descent)
+from aam_cgd.appearance import (AppearanceModel, BpoOperator,
+                                appearance_instance, project_out)
+from aam_cgd.jacobians import (NewtonTerms, basis_gradient_stack,
+                               blend_gradients, gn_hessian, image_gradient,
+                               newton_terms_asymmetric,
+                               newton_terms_bidirectional, residual_curvature,
+                               second_gradient, steepest_descent)
+from aam_cgd.shape_model import build_shape_model
+from aam_cgd.warp import build_reference_frame
 
 from conftest import bilinear_value, make_toy_shape_model
 from oracles import (AsymmetricCost, BidirectionalCost, active_rows,
-                     bilinear_vector, fd_gradient, fd_hessian,
-                     interior_pixels, make_bilinear_appearance,
-                     make_toy_state)
+                     basis_gradient_loop, bilinear_vector, fd_gradient,
+                     fd_hessian, interior_pixels, make_bilinear_appearance,
+                     make_toy_state, neighbour_gradient,
+                     residual_curvature_sum)
+
+
+def diamond_frame():
+    """Frame of a diamond with integer corners: its tips have no
+    neighbour along one axis, its edges one neighbour, its inside two."""
+    d = np.array([5.0, 0.0, 10.0, 5.0, 5.0, 10.0, 0.0, 5.0])
+    frame, _ = build_reference_frame(build_shape_model([d, d], d))
+    nb = frame.neighbors >= 0
+    for has_m, has_p in ((nb[:, 0], nb[:, 1]), (nb[:, 2], nb[:, 3])):
+        assert np.any(has_m & has_p)
+        assert np.any(has_m ^ has_p)
+        assert np.any(~has_m & ~has_p)
+    return frame
 
 
 class TestImageGradient:
@@ -56,6 +73,23 @@ class TestImageGradient:
         inner = interior_pixels(frame)
         np.testing.assert_allclose(gx[:F][inner], 1.0, atol=1e-10)
         np.testing.assert_allclose(gy[F:][inner], 3.0, atol=1e-10)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_matches_neighbour_oracle(self, rng, k):
+        frame = diamond_frame()
+        v = rng.standard_normal(k * frame.n_pixels)
+        gx, gy = image_gradient(v, frame)
+        ox, oy = neighbour_gradient(v, frame)
+        np.testing.assert_array_equal(gx, ox)
+        np.testing.assert_array_equal(gy, oy)
+
+    def test_difference_operators_adjoint(self, rng):
+        frame = diamond_frame()
+        v = rng.standard_normal(frame.n_pixels)
+        u = rng.standard_normal(frame.n_pixels)
+        for g, D in zip(image_gradient(v, frame),
+                        (frame.diff_x, frame.diff_y)):
+            np.testing.assert_allclose(g @ u, v @ (D.T @ u), rtol=1e-12)
 
 
 class TestSteepestDescent:
@@ -259,6 +293,54 @@ class TestNewtonTermsBidirectional:
         H = terms.full()
         np.testing.assert_allclose(H, H.T, atol=1e-8)
 
+
+
+class TestNewtonBlocksMatchDefinitions:
+    """The fast Newton blocks against their column-by-column and
+    pixel-by-pixel definitions, on a random basis and residual with
+    three channels, over the full frame and an interior subset."""
+
+    @pytest.fixture
+    def setup(self, rng):
+        k, m = 3, 4
+        engine = make_toy_state(rng, v=6, n_modes=2, radius=6.0).engine
+        kF = k * engine.frame.n_pixels
+        basis = np.linalg.qr(rng.standard_normal((kF, m)))[0]
+        app = AppearanceModel(mean=np.zeros(kF), basis=basis,
+                              eigenvalues=np.linspace(2.0, 1.0, m),
+                              image_noise=0.05).validate()
+        active = interior_pixels(engine.frame, radius=2)
+        return engine, app, active
+
+    @staticmethod
+    def _residual(rng, engine, app, active):
+        F = engine.frame.n_pixels
+        n = F if active is None else len(active)
+        return rng.standard_normal(app.n_features // F * n)
+
+    @pytest.mark.parametrize("subset", [False, True])
+    def test_basis_gradient_stack(self, setup, rng, subset):
+        engine, app, active = setup
+        active = active if subset else None
+        r = self._residual(rng, engine, app, active)
+        got = basis_gradient_stack(app, engine.frame, engine.dWdp, r,
+                                   active=active)
+        ref = basis_gradient_loop(app, engine.frame, engine.dWdp, r,
+                                  active=active)
+        np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("subset", [False, True])
+    def test_residual_curvature(self, setup, rng, subset):
+        engine, app, active = setup
+        active = active if subset else None
+        second = second_gradient(rng.standard_normal(app.n_features),
+                                 engine.frame)
+        r = self._residual(rng, engine, app, active)
+        got = residual_curvature(second, engine.dWdp, r, active=active)
+        ref = residual_curvature_sum(second, engine.dWdp, r, active=active)
+        np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max())
 
 
 @pytest.mark.parametrize("assemble", [
