@@ -8,13 +8,18 @@ grid, one-sided differences where only one neighbour is masked and zero
 where the pixel is isolated.  Second derivatives apply the same operator
 twice.  The Newton cross block J_{a_j}^T r of every appearance column
 uses the operator's adjoint, so no per-column gradient is formed.
+
+Project-out (PO) and Bayesian project-out (BPO) Hessians are factored
+through the m x P product B = A^T J: J^T J - B^T B for PO and
+w J^T J + B^T diag(rho / d - w) B for BPO (see `gn_hessian`), so no
+projected (k F, P) copy of J is built.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .appearance import AppearanceModel, BpoOperator, project_out
+from .appearance import AppearanceModel, BpoOperator
 from .errors import DimensionError
 
 
@@ -45,7 +50,8 @@ def steepest_descent(grad_x, grad_y, warp_jac, active=None):
 
     grad_x/grad_y: (F * k,) channel-major; warp_jac: (F, 2, P).
     `active` optionally selects a pixel subset (indices into 0..F-1).
-    Returns (F_active * k, P).
+    Returns (F_active * k, P): per channel c and pixel f the row
+    [gx, gy]_{c,f} @ warp_jac[f], one batched (1, 2) @ (2, P) product.
     """
     F = warp_jac.shape[0]
     gx = np.asarray(grad_x, dtype=np.float64).reshape(-1, F)
@@ -55,9 +61,8 @@ def steepest_descent(grad_x, grad_y, warp_jac, active=None):
     if active is not None:
         gx, gy = gx[:, active], gy[:, active]
         warp_jac = warp_jac[active]
-    J = (gx[..., None] * warp_jac[None, :, 0, :]
-         + gy[..., None] * warp_jac[None, :, 1, :])
-    return J.reshape(-1, J.shape[-1])
+    g = np.stack([gx, gy], axis=-1)[:, :, None, :]       # (k, F, 1, 2)
+    return np.matmul(g, warp_jac).reshape(-1, warp_jac.shape[-1])
 
 
 def blend_gradients(grad_image, grad_model, alpha):
@@ -69,20 +74,32 @@ def blend_gradients(grad_image, grad_model, alpha):
 
 
 def gn_hessian(J, projector=None):
-    """Gauss-Newton Hessian J^T J, optionally weighted by a project-out or
-    Bayesian project-out operator applied as factored products."""
+    """Gauss-Newton Hessian J^T M J of a (k F, P) Jacobian.
+
+    M is the identity (`projector` None), the project-out operator
+    I - A A^T (an `AppearanceModel`) or the Bayesian project-out operator
+    rho A D^-1 A^T + w (I - A A^T) (a `BpoOperator`, w its
+    `ortho_weight`).  With B = A^T J both weighted forms need only B:
+        PO:  J^T J - B^T B
+        BPO: w J^T J + B^T diag(rho / d - w) B
+    """
     J = np.asarray(J, dtype=np.float64)
     if not np.all(np.isfinite(J)):
         raise DimensionError("Jacobian contains non-finite entries")
-    if projector is None:
-        H = J.T @ J
-    elif isinstance(projector, AppearanceModel):
-        PJ = project_out(projector, J)
-        H = PJ.T @ PJ  # equals J^T (I - A A^T) J by idempotency
-    elif isinstance(projector, BpoOperator):
-        H = J.T @ projector.apply(J)
-    else:
-        raise DimensionError(f"unsupported projector {type(projector)!r}")
+    H = J.T @ J
+    if projector is not None:
+        if isinstance(projector, AppearanceModel):
+            model, w, v = projector, 1.0, -1.0
+        elif isinstance(projector, BpoOperator):
+            model, w = projector.model, projector.ortho_weight
+            v = (projector.rho / projector.d - w)[:, None]
+        else:
+            raise DimensionError(
+                f"unsupported projector {type(projector)!r}")
+        if J.shape[0] != model.n_features:
+            raise DimensionError("Jacobian rows do not match the model")
+        B = model.basis.T @ J
+        H = w * H + B.T @ (v * B)
     return 0.5 * (H + H.T)
 
 
@@ -114,24 +131,40 @@ def basis_gradient_stack(appearance, frame, warp_jac, residual, active=None):
     """Rows J_{a_j}^T r for every appearance basis column a_j.
 
     Returns (m, P): the derivative of each basis column's warped value
-    contracted with the residual, used by the Newton cross blocks.  With
-    D the frame's difference operators, J_{a_j}^T r = a_j . U where
-    U[:, p] = Dx^T (r * dW_x[:, p]) + Dy^T (r * dW_y[:, p]) per channel,
-    so the m columns cost two sparse adjoint products and one GEMM.  A
-    residual over `active` pixels enters as zero on the other pixels.
+    contracted with the residual, used by the Newton cross blocks.  It is
+    A^T U with U the adjoint image of `_adjoint_image`, so the m columns
+    cost two sparse adjoint products and one GEMM.
+    """
+    return appearance.basis.T @ _adjoint_image(frame, warp_jac, residual,
+                                               active)
+
+
+def _adjoint_image(frame, warp_jac, residual, active):
+    """(k F, P) image U with a_j . U = J_{a_j}^T r for any column a_j.
+
+    With D the frame's difference operators,
+    U[:, p] = Dx^T (r * dW_x[:, p]) + Dy^T (r * dW_y[:, p]) per channel.
+    A residual over `active` pixels enters as zero on the other pixels.
     """
     F, _, P = warp_jac.shape
-    k = appearance.n_features // F
-    r = np.asarray(residual, dtype=np.float64).reshape(k, -1)
-    if active is not None:
-        r_full = np.zeros((k, F))
-        r_full[:, active] = r
-        r = r_full
+    r = _to_frame(residual, F, active).reshape(-1, F)
+    k = r.shape[0]
     rt = r.T[:, :, None]                                  # (F, k, 1)
     U = (frame.diff_x.T @ (rt * warp_jac[:, None, 0, :]).reshape(F, -1)
          + frame.diff_y.T @ (rt * warp_jac[:, None, 1, :]).reshape(F, -1))
-    U = U.reshape(F, k, P).transpose(1, 0, 2).reshape(k * F, P)
-    return appearance.basis.T @ U
+    return U.reshape(F, k, P).transpose(1, 0, 2).reshape(k * F, P)
+
+
+def _to_frame(x, F, active):
+    """Channel-major rows over the `active` pixels placed among zero rows
+    for the other pixels of the frame; `x` itself when `active` is None."""
+    x = np.asarray(x, dtype=np.float64)
+    if active is None:
+        return x
+    x = x.reshape((-1, len(active)) + x.shape[1:])
+    full = np.zeros((x.shape[0], F) + x.shape[2:])
+    full[:, active] = x
+    return full.reshape((-1,) + x.shape[2:])
 
 
 @dataclass(frozen=True)
@@ -191,29 +224,27 @@ def newton_terms_asymmetric(appearance, frame, warp_jac, residual,
     +beta J_A^T r (signs fixed by the finite-difference Hessian oracle).
     """
     beta = 1.0 - alpha
-    Jar = basis_gradient_stack(appearance, frame, warp_jac, residual,
-                               active=active)
-    A_act = _active_basis(appearance, frame, active)
-    cc = np.eye(A_act.shape[1]) if active is None else A_act.T @ A_act
-    cp = beta * Jar - A_act.T @ J_t
+    U = _adjoint_image(frame, warp_jac, residual, active)
+    cp = appearance.basis.T @ (beta * U
+                               - _to_frame(J_t, frame.n_pixels, active))
     curv_i = residual_curvature(grad2_image, warp_jac, residual,
                                 active=active)
     curv_m = residual_curvature(grad2_model, warp_jac, residual,
                                 active=active)
     pp = J_t.T @ J_t + alpha ** 2 * curv_i - beta ** 2 * curv_m
-    return NewtonTerms(cc=cc, cp=cp, pp=0.5 * (pp + pp.T))
+    return NewtonTerms(cc=_appearance_block(appearance, frame, active),
+                       cp=cp, pp=0.5 * (pp + pp.T))
 
 
 def newton_terms_bidirectional(appearance, frame, warp_jac, residual,
                                grad2_image, grad2_model, J_i, J_a,
                                active=None):
     """Second-order blocks for independent image/model increments."""
-    A_act = _active_basis(appearance, frame, active)
-    cc = np.eye(A_act.shape[1]) if active is None else A_act.T @ A_act
-    Jar = basis_gradient_stack(appearance, frame, warp_jac, residual,
-                               active=active)
-    cp = -A_act.T @ J_i
-    cq = -Jar + A_act.T @ J_a
+    F, P = frame.n_pixels, J_i.shape[1]
+    U = _adjoint_image(frame, warp_jac, residual, active)
+    cross = appearance.basis.T @ np.hstack(
+        [_to_frame(J_i, F, active), _to_frame(J_a, F, active) - U])
+    cp, cq = -cross[:, :P], cross[:, P:]
     curv_i = residual_curvature(grad2_image, warp_jac, residual,
                                 active=active)
     curv_m = residual_curvature(grad2_model, warp_jac, residual,
@@ -221,14 +252,18 @@ def newton_terms_bidirectional(appearance, frame, warp_jac, residual,
     pp = J_i.T @ J_i + curv_i
     qq = J_a.T @ J_a - curv_m
     pq = -J_i.T @ J_a
-    return NewtonTerms(cc=cc, cp=cp, pp=0.5 * (pp + pp.T), cq=cq, pq=pq,
+    return NewtonTerms(cc=_appearance_block(appearance, frame, active),
+                       cp=cp, pp=0.5 * (pp + pp.T), cq=cq, pq=pq,
                        qq=0.5 * (qq + qq.T))
 
 
-def _active_basis(appearance, frame, active):
+def _appearance_block(appearance, frame, active):
+    """Block cc = A_act^T A_act: the identity on the full frame, where
+    the basis is orthonormal, computed on a pixel subset."""
     if active is None:
-        return appearance.basis
+        return np.eye(appearance.n_components)
     F = frame.n_pixels
     k = appearance.n_features // F
     rows = np.concatenate([np.asarray(active) + ch * F for ch in range(k)])
-    return appearance.basis[rows]
+    A_act = appearance.basis[rows]
+    return A_act.T @ A_act

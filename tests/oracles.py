@@ -13,7 +13,6 @@ machine precision on interior pixels.
 import numpy as np
 
 from aam_cgd.appearance import AppearanceModel, appearance_instance
-from aam_cgd.jacobians import steepest_descent
 from aam_cgd.warp import fill_outside_mask, sample_frame_image
 
 
@@ -65,13 +64,30 @@ def neighbour_gradient(v, frame):
             directional_diff(vals, nb[:, 2], nb[:, 3]).ravel())
 
 
+def steepest_descent_loop(grad_x, grad_y, warp_jac, active=None):
+    """Steepest-descent images one channel and one pixel at a time:
+    row (c, f) is gx[c, f] * dW[f, 0, :] + gy[c, f] * dW[f, 1, :]."""
+    F, _, P = warp_jac.shape
+    gx = np.asarray(grad_x, dtype=np.float64).reshape(-1, F)
+    gy = np.asarray(grad_y, dtype=np.float64).reshape(-1, F)
+    pixels = np.arange(F) if active is None else np.asarray(active)
+    J = np.zeros((gx.shape[0] * pixels.size, P))
+    row = 0
+    for c in range(gx.shape[0]):
+        for f in pixels:
+            J[row] = (gx[c, f] * warp_jac[f, 0, :]
+                      + gy[c, f] * warp_jac[f, 1, :])
+            row += 1
+    return J
+
+
 def basis_gradient_loop(appearance, frame, warp_jac, residual, active=None):
     """J_{a_j}^T r by definition: per basis column, its image gradient,
     its steepest-descent images on the active pixels, then J_j^T r."""
     out = np.zeros((appearance.n_components, warp_jac.shape[2]))
     for j in range(appearance.n_components):
         gx, gy = neighbour_gradient(appearance.basis[:, j], frame)
-        Jj = steepest_descent(gx, gy, warp_jac, active=active)
+        Jj = steepest_descent_loop(gx, gy, warp_jac, active=active)
         out[j] = Jj.T @ residual
     return out
 

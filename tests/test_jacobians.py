@@ -3,6 +3,7 @@ import pytest
 
 from aam_cgd.appearance import (AppearanceModel, BpoOperator,
                                 appearance_instance, project_out)
+from aam_cgd.errors import DimensionError
 from aam_cgd.jacobians import (NewtonTerms, basis_gradient_stack,
                                blend_gradients, gn_hessian, image_gradient,
                                newton_terms_asymmetric,
@@ -16,7 +17,7 @@ from oracles import (AsymmetricCost, BidirectionalCost, active_rows,
                      basis_gradient_loop, bilinear_vector, fd_gradient,
                      fd_hessian, interior_pixels, make_bilinear_appearance,
                      make_toy_state, neighbour_gradient,
-                     residual_curvature_sum)
+                     residual_curvature_sum, steepest_descent_loop)
 
 
 def diamond_frame():
@@ -127,6 +128,17 @@ class TestSteepestDescent:
         rows = active_rows(toy_engine.frame, active, 2)
         np.testing.assert_array_equal(sub, full[rows])
 
+    @pytest.mark.parametrize("subset", [False, True])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_matches_pixel_loop(self, toy_engine, rng, k, subset):
+        F = toy_engine.n_pixels
+        g = (rng.standard_normal(k * F), rng.standard_normal(k * F))
+        active = np.arange(1, F, 4) if subset else None
+        got = steepest_descent(*g, toy_engine.dWdp, active=active)
+        ref = steepest_descent_loop(*g, toy_engine.dWdp, active=active)
+        np.testing.assert_allclose(got, ref, rtol=1e-14,
+                                   atol=1e-14 * np.abs(ref).max())
+
 
 class TestGnHessian:
     def test_orthonormal_columns_give_identity(self, rng):
@@ -156,6 +168,69 @@ class TestGnHessian:
             app = _random_appearance(rng, dim=40, m=3)
             w = np.linalg.eigvalsh(gn_hessian(J, app))
             assert w.min() >= -1e-10
+
+    @pytest.mark.parametrize("rho", [None, 0.4])
+    def test_in_span_dominant_jacobian(self, rng, rho):
+        """J = A X + 1e-3 N: J^T J exceeds its projected part
+        J^T (I - A A^T) J by about 1e5, so J^T J - B^T B cancels.  Both
+        the factored form and the dense product carry an error of a few
+        eps * |J^T J| * ||M||, M the weight; the tolerance is 100 times
+        that, about 1e-9 of the PO Hessian here."""
+        dim, m, P = 80, 4, 6
+        app = _orthonormal_appearance(rng, dim, m)
+        A = app.basis
+        J = A @ rng.standard_normal((m, P)) + 1e-3 * rng.standard_normal(
+            (dim, P))
+        ortho = np.eye(dim) - A @ A.T
+        if rho is None:
+            weight, dense = app, ortho
+        else:
+            weight = BpoOperator(app, rho=rho)
+            dense = (rho * A @ np.diag(1.0 / weight.d) @ A.T
+                     + weight.ortho_weight * ortho)
+        H = gn_hessian(J, weight)
+        ref = J.T @ dense @ J
+        gram = np.abs(J.T @ J).max()
+        assert gram > 1e4 * np.abs(J.T @ ortho @ J).max()
+        scale = gram * np.linalg.norm(dense, 2)
+        np.testing.assert_allclose(H, ref, rtol=0,
+                                   atol=100 * np.finfo(float).eps * scale)
+        np.testing.assert_array_equal(H, H.T)
+        w = np.linalg.eigvalsh(H)
+        assert w.min() >= -1e-10 * w.max()
+
+    def test_bpo_rho_zero_is_scaled_project_out(self, rng):
+        app = _orthonormal_appearance(rng, dim=50, m=3)
+        op = BpoOperator(app, rho=0.0)
+        J = rng.standard_normal((50, 5))
+        np.testing.assert_allclose(gn_hessian(J, op),
+                                   op.ortho_weight * gn_hessian(J, app),
+                                   rtol=1e-12)
+
+    def test_bpo_rho_one_is_in_span_term(self, rng):
+        app = _orthonormal_appearance(rng, dim=50, m=3)
+        op = BpoOperator(app, rho=1.0)
+        J = rng.standard_normal((50, 5))
+        B = app.basis.T @ J
+        np.testing.assert_allclose(gn_hessian(J, op),
+                                   B.T @ np.diag(1.0 / op.d) @ B,
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("rho", [None, 0.4])
+    def test_rows_must_match_model(self, rng, rho):
+        app = _orthonormal_appearance(rng, dim=50, m=3)
+        weight = app if rho is None else BpoOperator(app, rho=rho)
+        with pytest.raises(DimensionError):
+            gn_hessian(rng.standard_normal((49, 5)), weight)
+
+
+def _orthonormal_appearance(rng, dim, m):
+    """Random orthonormal basis with the noise level set directly, so the
+    two terms of the Bayesian weight are of comparable size."""
+    basis = np.linalg.qr(rng.standard_normal((dim, m)))[0]
+    return AppearanceModel(mean=np.zeros(dim), basis=basis,
+                           eigenvalues=np.linspace(2.0, 1.0, m),
+                           image_noise=0.05).validate()
 
 
 def _random_appearance(rng, dim, m):
@@ -304,11 +379,7 @@ class TestNewtonBlocksMatchDefinitions:
     def setup(self, rng):
         k, m = 3, 4
         engine = make_toy_state(rng, v=6, n_modes=2, radius=6.0).engine
-        kF = k * engine.frame.n_pixels
-        basis = np.linalg.qr(rng.standard_normal((kF, m)))[0]
-        app = AppearanceModel(mean=np.zeros(kF), basis=basis,
-                              eigenvalues=np.linspace(2.0, 1.0, m),
-                              image_noise=0.05).validate()
+        app = _orthonormal_appearance(rng, k * engine.frame.n_pixels, m)
         active = interior_pixels(engine.frame, radius=2)
         return engine, app, active
 
