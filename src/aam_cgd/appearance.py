@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, InsufficientDataError
-from .shape_model import _resolve_n_components
+from .shape_model import _freeze, pca
 
 SIGMA_FLOOR_REL = 1e-8
 SIGMA_FLOOR_ABS = 1e-12
@@ -73,30 +73,15 @@ def build_appearance_model(warped_images, n_components=None):
     if any(v.size != vecs[0].size for v in vecs):
         raise DimensionError("warped vectors have inconsistent lengths")
     X = np.stack(vecs)
-    n_samples, dim = X.shape
     data_mean = X.mean(axis=0)
-    X = X - data_mean
+    # A non-finite pixel makes its column mean non-finite.
+    if not np.all(np.isfinite(data_mean)):
+        raise DimensionError("warped vectors contain non-finite values")
+    X -= data_mean
 
-    floor = max(float(data_mean @ data_mean) * 1e-26, 1e-300)
-    if n_samples < dim:
-        gram = (X @ X.T) / (n_samples - 1)
-        evals, evecs = np.linalg.eigh(gram)
-        order = np.argsort(evals)[::-1]
-        evals, evecs = evals[order], evecs[:, order]
-        keep = evals > max((evals[0] if evals.size else 0.0) * 1e-12, floor)
-        evals = evals[keep]
-        comps = X.T @ evecs[:, keep]
-        comps /= np.sqrt(evals * (n_samples - 1))[None, :]
-    else:
-        cov = (X.T @ X) / (n_samples - 1)
-        evals, comps = np.linalg.eigh(cov)
-        order = np.argsort(evals)[::-1]
-        evals, comps = evals[order], comps[:, order]
-        keep = evals > max((evals[0] if evals.size else 0.0) * 1e-12, floor)
-        evals, comps = evals[keep], comps[:, keep]
-
-    n_keep = _resolve_n_components(n_components, evals, "appearance")
-    discarded = evals[n_keep:]
+    basis, evals = pca(X, float(data_mean @ data_mean), n_components,
+                       "appearance")
+    discarded = evals[basis.shape[1]:]
     if discarded.size:
         noise = float(discarded.mean())
     else:
@@ -104,11 +89,9 @@ def build_appearance_model(warped_images, n_components=None):
     if noise <= 0:
         noise = SIGMA_FLOOR_ABS
 
-    basis = comps[:, :n_keep].copy()
     mean = data_mean - basis @ (basis.T @ data_mean)
-    eigenvalues = evals[:n_keep].copy()
-    for a in (mean, basis, eigenvalues):
-        a.setflags(write=False)
+    eigenvalues = evals[:basis.shape[1]].copy()
+    _freeze(mean, basis, eigenvalues)
     return AppearanceModel(mean=mean, basis=basis, eigenvalues=eigenvalues,
                            image_noise=noise).validate()
 
@@ -179,16 +162,3 @@ class BpoOperator:
         scale = self.d[:, None] if r.ndim == 2 else self.d
         return self.rho * (A @ (a / scale)) + self.ortho_weight * ortho
 
-
-def bpo_apply(op, r):
-    """Return (weighted vector, cost) of the Bayesian project-out form."""
-    r = np.asarray(r, dtype=np.float64).ravel()
-    if r.size != op.model.n_features:
-        raise DimensionError("vector length does not match the model")
-    A = op.model.basis
-    a = A.T @ r
-    ortho = r - A @ a
-    cost = (op.rho * float(a @ (a / op.d))
-            + op.ortho_weight * float(ortho @ ortho))
-    weighted = op.rho * (A @ (a / op.d)) + op.ortho_weight * ortho
-    return weighted, cost

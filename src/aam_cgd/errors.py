@@ -21,19 +21,7 @@ class ConfigError(AamCgdError):
     """Invalid configuration value or algorithm combination."""
 
 
-class DataError(AamCgdError):
-    """Malformed dataset, annotation or serialized bundle."""
-
-
-class BundleFormatError(DataError):
-    """Bundle file is corrupt, truncated or has an unknown version."""
-
-
-class NumericalError(AamCgdError):
-    """Numerical failure during optimization."""
-
-
-class RankDeficiencyError(NumericalError):
+class RankDeficiencyError(AamCgdError):
     """Singular / near-singular system.  Carries a condition estimate."""
 
     def __init__(self, message, condition=None):

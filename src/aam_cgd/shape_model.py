@@ -1,5 +1,6 @@
 """Point distribution model: Procrustes alignment, PCA and the similarity-
-augmented orthonormal shape basis.
+augmented orthonormal shape basis.  `pca` and `orthonormalize` also build
+the appearance model.
 
 Shapes are flat float64 vectors of length 2v with interleaved coordinates
 (x1, y1, ..., xv, yv).
@@ -182,12 +183,7 @@ def similarity_basis(mean):
     cols[:, 2] = points_to_shape(pts)        # d/d scale
     rot90 = np.column_stack([-pts[:, 1], pts[:, 0]])
     cols[:, 3] = points_to_shape(rot90)      # d/d angle
-    q, _ = np.linalg.qr(cols)
-    # QR may flip column signs; keep the original orientation.
-    for j in range(4):
-        if q[:, j] @ cols[:, j] < 0:
-            q[:, j] = -q[:, j]
-    return q
+    return orthonormalize(cols)
 
 
 @dataclass(frozen=True)
@@ -271,6 +267,43 @@ def _resolve_n_components(n_components, evals, what):
     return n_keep
 
 
+def orthonormalize(C):
+    """Cholesky QR: Q = C L^-T with C^T C = L L^T.
+
+    Column j of Q lies in the span of C's first j columns and has a
+    positive inner product with C[:, j] (L has a positive diagonal), so
+    the columns keep their order and orientation.
+    """
+    return C @ np.linalg.inv(np.linalg.cholesky(C.T @ C)).T
+
+
+def pca(X, ref_norm2, n_components, what):
+    """Principal components of the rows of a centred (n_samples, dim) X.
+
+    Eigendecomposes the smaller of the Gram matrix X X^T and the covariance
+    X^T X.  Modes at or below the rank floor (relative to the spectrum,
+    plus an absolute floor tied to the data scale `ref_norm2`, so round-off
+    modes of identical samples vanish) are dropped.  Returns (components,
+    eigenvalues): the (dim, n_keep) orthonormal modes that `n_components`
+    selects (see `_resolve_n_components`) and every eigenvalue above the
+    floor, descending.
+    """
+    n_samples, dim = X.shape
+    gram_side = n_samples < dim
+    evals, evecs = np.linalg.eigh(
+        (X @ X.T if gram_side else X.T @ X) / (n_samples - 1))
+    evals, evecs = evals[::-1], evecs[:, ::-1]
+    top = evals[0] if evals.size else 0.0
+    evals = evals[evals > max(top * 1e-12, ref_norm2 * 1e-26, 1e-300)]
+    n_keep = _resolve_n_components(n_components, evals, what)
+    if not gram_side:
+        return evecs[:, :n_keep].copy(), evals
+    # X^T v_j is mode j up to scale; round-off in the small eigenvectors
+    # couples the modes by about eps * top / lambda_j, so re-orthonormalise.
+    # (V^T X)^T: the wide product runs about twice as fast as X^T V.
+    return orthonormalize((evecs[:, :n_keep].T @ X).T), evals
+
+
 def build_shape_model(aligned, mean, n_components=None):
     """Build a ShapeModel from Procrustes-aligned shapes.
 
@@ -283,56 +316,22 @@ def build_shape_model(aligned, mean, n_components=None):
         raise InsufficientDataError("need at least 2 aligned shapes")
     mean = as_shape(mean)
     X = np.stack([as_shape(s) for s in aligned]) - mean
-    n_samples, dim = X.shape
 
     sim = similarity_basis(mean)
     # Non-rigid modes live in the orthogonal complement of the similarity
     # columns; projecting first keeps the joint basis exactly orthonormal.
-    X = X - (X @ sim) @ sim.T
+    X -= (X @ sim) @ sim.T
+    comps, evals = pca(X, float(mean @ mean), n_components, "shape")
 
-    # Rank cutoff: relative to the spectrum plus an absolute floor tied to
-    # the coordinate scale, so round-off modes of identical shapes vanish.
-    def _rank_floor(evals):
-        top = evals[0] if evals.size else 0.0
-        return max(top * 1e-12, float(mean @ mean) * 1e-26, 1e-300)
-
-    if n_samples < dim:
-        # Gram-matrix eigendecomposition, cheaper when samples < dimension.
-        gram = (X @ X.T) / (n_samples - 1)
-        evals, evecs = np.linalg.eigh(gram)
-        order = np.argsort(evals)[::-1]
-        evals = evals[order]
-        evecs = evecs[:, order]
-        keep = evals > _rank_floor(evals)
-        evals = evals[keep]
-        comps = X.T @ evecs[:, keep]
-        comps /= np.sqrt(evals * (n_samples - 1))[None, :]
-    else:
-        cov = (X.T @ X) / (n_samples - 1)
-        evals, comps = np.linalg.eigh(cov)
-        order = np.argsort(evals)[::-1]
-        evals = evals[order]
-        comps = comps[:, order]
-        keep = evals > _rank_floor(evals)
-        evals = evals[keep]
-        comps = comps[:, keep]
-
-    n_keep = _resolve_n_components(n_components, evals, "shape")
-
-    discarded = evals[n_keep:]
+    discarded = evals[comps.shape[1]:]
     shape_noise = float(discarded.mean()) if discarded.size else 0.0
 
-    basis = np.hstack([sim, comps[:, :n_keep]])
-    # Final Gram-Schmidt pass to remove residual round-off coupling.
-    q, _ = np.linalg.qr(basis)
-    for j in range(basis.shape[1]):
-        if q[:, j] @ basis[:, j] < 0:
-            q[:, j] = -q[:, j]
-
+    # Final pass to remove residual round-off coupling.
+    basis = orthonormalize(np.hstack([sim, comps]))
     mean = mean.copy()
-    eigenvalues = evals[:n_keep].copy()
-    _freeze(mean, q, eigenvalues)
-    return ShapeModel(mean=mean, basis=q, eigenvalues=eigenvalues,
+    eigenvalues = evals[:comps.shape[1]].copy()
+    _freeze(mean, basis, eigenvalues)
+    return ShapeModel(mean=mean, basis=basis, eigenvalues=eigenvalues,
                       shape_noise=shape_noise).validate()
 
 

@@ -62,12 +62,6 @@ class ReferenceFrame:
         grids[:, self.mask] = vec.reshape(k, F)
         return grids
 
-    def from_grid(self, grids):
-        grids = np.asarray(grids, dtype=np.float64)
-        if grids.ndim == 2:
-            grids = grids[None]
-        return grids[:, self.mask].ravel()
-
 
 @dataclass(frozen=True)
 class Triangulation:
@@ -260,34 +254,6 @@ def sample_frame_image(grids, frame, positions):
     return bilinear_sample(np.moveaxis(grids, 0, -1), array_pos)
 
 
-def fill_outside_mask(grids, frame, iterations=None):
-    """Propagate masked values outward so bilinear sampling near the mask
-    boundary never mixes in arbitrary fill values."""
-    grids = np.array(grids, dtype=np.float64, copy=True)
-    if grids.ndim == 2:
-        grids = grids[None]
-    known = frame.mask.copy()
-    if iterations is None:
-        iterations = max(grids.shape[1], grids.shape[2])
-    for _ in range(iterations):
-        if known.all():
-            break
-        acc = np.zeros_like(grids)
-        cnt = np.zeros(known.shape, dtype=np.float64)
-        acc[:, :, 1:] += np.where(known[None, :, :-1], grids[:, :, :-1], 0.0)
-        cnt[:, 1:] += known[:, :-1]
-        acc[:, :, :-1] += np.where(known[None, :, 1:], grids[:, :, 1:], 0.0)
-        cnt[:, :-1] += known[:, 1:]
-        acc[:, 1:, :] += np.where(known[None, :-1, :], grids[:, :-1, :], 0.0)
-        cnt[1:, :] += known[:-1, :]
-        acc[:, :-1, :] += np.where(known[None, 1:, :], grids[:, 1:, :], 0.0)
-        cnt[:-1, :] += known[1:, :]
-        new = ~known & (cnt > 0)
-        grids[:, new] = acc[:, new] / cnt[new]
-        known |= new
-    return grids
-
-
 def warp_jacobian_identity(model, frame, tri):
     """Derivative of warped pixel positions w.r.t. the shape parameters,
     evaluated at the identity warp.  Returns (F, 2, n_params)."""
@@ -378,9 +344,6 @@ class WarpEngine:
 
     def warp(self, image, shape):
         return warp_to_reference(image, shape, self.frame, self.tri)
-
-    def warp_params(self, image, p):
-        return self.warp(image, shape_instance(self.model, p))
 
     def compose(self, p, dp):
         return compose(self.model, self.tri, p, dp)

@@ -13,7 +13,7 @@ machine precision on interior pixels.
 import numpy as np
 
 from aam_cgd.appearance import AppearanceModel, appearance_instance
-from aam_cgd.warp import fill_outside_mask, sample_frame_image
+from aam_cgd.warp import sample_frame_image
 
 
 def interior_pixels(frame, radius=1):
@@ -147,7 +147,9 @@ def sample_under_increment(engine, grids, dp):
 
 
 def frame_grids(engine, vec):
-    return fill_outside_mask(engine.frame.to_grid(vec), engine.frame)
+    """Frame image grids, NaN outside the mask so that any sample which
+    reads there fails loudly."""
+    return engine.frame.to_grid(vec, fill=np.nan)
 
 
 class AsymmetricCost:

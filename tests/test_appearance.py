@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aam_cgd.appearance import (AppearanceModel, BpoOperator,
-                                appearance_instance, bpo_apply,
-                                build_appearance_model, project_appearance,
-                                project_out)
+                                appearance_instance, build_appearance_model,
+                                project_appearance, project_out)
 from aam_cgd.errors import ConfigError, DimensionError
 
 
@@ -68,6 +67,30 @@ class TestBuildAppearanceModel:
         model, _ = random_model(rng, dim=45, m=5)
         assert np.max(np.abs(model.basis.T @ model.mean)) < 1e-10
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_wide_spectrum_stays_orthonormal(self, seed):
+        # 40 samples of dimension 500 take the Gram side; the 30 mode
+        # variances fall by 1e7, so the eigenvector round-off, divided by
+        # the smallest modes' scale, couples the modes by more than 1e-10
+        # unless the basis is re-orthonormalised.
+        rng = np.random.default_rng(seed)
+        modes = np.linalg.qr(rng.standard_normal((500, 30)))[0]
+        sd = np.sqrt(np.geomspace(1.0, 1e-7, 30))
+        data = rng.standard_normal(500) + (
+            rng.standard_normal((40, 30)) * sd) @ modes.T
+        model = build_appearance_model(list(data), n_components=30)
+        assert model.eigenvalues[0] / model.eigenvalues[-1] > 1e6
+        A = model.basis
+        assert np.max(np.abs(A.T @ A - np.eye(30))) < 1e-12
+        model.validate()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_rejected(self, rng, bad):
+        _, data = random_model(rng)
+        data[3, 7] = bad
+        with pytest.raises(DimensionError):
+            build_appearance_model(list(data))
+
 
 class TestProjectOut:
     def test_annihilates_in_span_vectors(self, rng):
@@ -108,12 +131,17 @@ class TestProjectOut:
             project_out(model, np.zeros(model.n_features + 1))
 
 
+def bpo_cost(op, r):
+    """The Bayesian project-out quadratic form r . op.apply(r)."""
+    return float(r @ op.apply(r))
+
+
 class TestBpo:
     def test_rho_zero_equals_scaled_project_out(self, rng):
         model, _ = random_model(rng)
         op = BpoOperator(model, rho=0.0)
         r = rng.standard_normal(model.n_features)
-        _, cost = bpo_apply(op, r)
+        cost = bpo_cost(op, r)
         po = project_out(model, r)
         np.testing.assert_allclose(
             cost, float(po @ po) / model.image_noise, rtol=1e-12)
@@ -126,24 +154,27 @@ class TestBpo:
                               + model.image_noise * np.eye(model.n_features))
         for _ in range(20):
             r = rng.standard_normal(model.n_features)
-            _, cost = bpo_apply(op, r)
+            cost = bpo_cost(op, r)
             np.testing.assert_allclose(2.0 * cost, r @ dense @ r, rtol=1e-8)
 
     def test_weighted_vector_is_gradient_direction(self, rng):
-        # The returned vector must be half the gradient of the quadratic
-        # form, i.e. the form itself equals r . weighted.
+        # The weighted vector must be half the gradient of the quadratic
+        # form q; by polarization q(r + s) - q(r - s) = 4 s . apply(r)
+        # holds exactly when apply is linear and symmetric.
         model, _ = random_model(rng, noise=0.1)
         op = BpoOperator(model, rho=0.3)
         r = rng.standard_normal(model.n_features)
-        weighted, cost = bpo_apply(op, r)
-        np.testing.assert_allclose(float(r @ weighted), cost, rtol=1e-10)
+        s = rng.standard_normal(model.n_features)
+        np.testing.assert_allclose(
+            bpo_cost(op, r + s) - bpo_cost(op, r - s),
+            4.0 * float(s @ op.apply(r)), rtol=1e-10)
 
     def test_empty_basis(self):
         img = np.linspace(0.0, 1.0, 30)
         model = build_appearance_model([img, img])
         op = BpoOperator(model, rho=0.25)
         r = np.ones(30)
-        _, cost = bpo_apply(op, r)
+        cost = bpo_cost(op, r)
         expected = (1 - 0.25) / model.image_noise * 30.0
         np.testing.assert_allclose(cost, expected, rtol=1e-12)
 
@@ -162,7 +193,7 @@ class TestBpo:
             image_noise=model.image_noise)
         op = BpoOperator(huge, rho=0.5)
         r = rng.standard_normal(model.n_features)
-        _, cost = bpo_apply(op, r)
+        cost = bpo_cost(op, r)
         po = project_out(model, r)
         expected = 0.5 / model.image_noise * float(po @ po)
         np.testing.assert_allclose(cost, expected, rtol=1e-4)

@@ -9,9 +9,10 @@ from aam_cgd.errors import (DegeneracyError, DimensionError,
                             InsufficientDataError)
 from aam_cgd.shape_model import (SimilarityTransform, align_similarity,
                                  as_shape, build_shape_model, face_size,
-                                 load_landmarks, procrustes_align,
-                                 project_shape, save_landmarks,
-                                 shape_instance, similarity_basis)
+                                 load_landmarks, orthonormalize, pca,
+                                 procrustes_align, project_shape,
+                                 save_landmarks, shape_instance,
+                                 similarity_basis)
 
 
 def random_shapes(rng, n_shapes=20, v=6, spread=0.1):
@@ -184,6 +185,58 @@ class TestBuildShapeModel:
         discarded = full.eigenvalues[part.n_nonrigid:]
         np.testing.assert_allclose(part.shape_noise, discarded.mean(),
                                    rtol=1e-8)
+
+
+def raw_similarity(mean):
+    """The four similarity differentials of `mean`, unnormalised: x and y
+    translation, then scale and rotation about the centroid."""
+    pts = mean.reshape(-1, 2) - mean.reshape(-1, 2).mean(axis=0)
+    cols = np.zeros((mean.size, 4))
+    cols[0::2, 0] = 1.0
+    cols[1::2, 1] = 1.0
+    cols[:, 2] = pts.ravel()
+    cols[:, 3] = np.column_stack([-pts[:, 1], pts[:, 0]]).ravel()
+    return cols
+
+
+def assert_oriented_and_nested(q, raw):
+    """q[:, j] points along raw[:, j] and q's first j columns span raw's
+    first j columns, for every j."""
+    for j in range(raw.shape[1]):
+        assert q[:, j] @ raw[:, j] > 0
+        lead, Q = raw[:, :j + 1], q[:, :j + 1]
+        gap = lead - Q @ (Q.T @ lead)
+        assert np.linalg.norm(gap) <= 1e-10 * np.linalg.norm(lead)
+
+
+class TestBasisOrientation:
+    def test_orthonormalize_badly_scaled_columns(self, rng):
+        C = rng.standard_normal((40, 8)) * np.geomspace(1e3, 1e-3, 8)
+        q = orthonormalize(C)
+        np.testing.assert_allclose(q.T @ q, np.eye(8), atol=1e-14)
+        assert_oriented_and_nested(q, C)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e5])
+    def test_similarity_basis(self, rng, scale):
+        mean = scale * rng.uniform(-1, 1, size=14)
+        assert_oriented_and_nested(similarity_basis(mean),
+                                   raw_similarity(mean))
+
+    @pytest.mark.parametrize("n_shapes", [8, 30])  # Gram, covariance side
+    @pytest.mark.parametrize("scale", [1e-3, 1e5])
+    def test_joint_shape_basis(self, rng, scale, n_shapes):
+        # The joint basis keeps the similarity differentials first, then
+        # the PCA modes in order, each with its orientation.
+        shapes = [scale * s for s in random_shapes(rng, n_shapes, v=7)]
+        mean = np.mean(shapes, axis=0)
+        model = build_shape_model(shapes, mean)
+        X = np.stack(shapes) - mean
+        sim = similarity_basis(mean)
+        X -= (X @ sim) @ sim.T
+        modes, _ = pca(X, float(mean @ mean), None, "shape")
+        assert modes.shape[1] == model.n_nonrigid > 0
+        assert_oriented_and_nested(
+            model.basis, np.hstack([raw_similarity(mean), modes]))
 
 
 class TestInstanceProject:

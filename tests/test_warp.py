@@ -5,9 +5,9 @@ from aam_cgd.errors import DegeneracyError, DimensionError
 from aam_cgd.shape_model import (build_shape_model, project_shape,
                                  shape_instance, shape_to_points)
 from aam_cgd.warp import (WarpEngine, build_reference_frame, compose,
-                          fill_outside_mask, invert_increment,
-                          rasterize_barycentric, sample_frame_image,
-                          warp_jacobian_identity, warp_to_reference)
+                          invert_increment, rasterize_barycentric,
+                          sample_frame_image, warp_jacobian_identity,
+                          warp_to_reference)
 
 from conftest import (bilinear_field, bilinear_value,
                       make_full_rank_shape_model, make_toy_shape_model,
@@ -276,13 +276,6 @@ class TestFrameImageSampling:
     def test_sample_frame_image_at_pixel_positions(self, toy_engine):
         frame = toy_engine.frame
         vec = bilinear_value(frame.positions, a=1.0, b=0.5, c=-0.25)
-        grids = fill_outside_mask(frame.to_grid(vec), frame)
+        grids = frame.to_grid(vec)
         got = sample_frame_image(grids, frame, frame.positions)
         np.testing.assert_allclose(got[:, 0], vec, atol=1e-9)
-
-    def test_fill_outside_mask_preserves_interior(self, toy_engine):
-        frame = toy_engine.frame
-        vec = np.arange(frame.n_pixels, dtype=np.float64)
-        grids = fill_outside_mask(frame.to_grid(vec), frame)
-        np.testing.assert_array_equal(grids[0][frame.mask], vec)
-        assert np.all(np.isfinite(grids))
