@@ -191,26 +191,11 @@ class NewtonTerms:
 
     def full(self):
         """Assemble the dense symmetric Hessian over (dc, dp[, dq])."""
-        m, P = self.cp.shape
         if not self.bidirectional:
-            H = np.zeros((m + P, m + P))
-            H[:m, :m] = self.cc
-            H[:m, m:] = self.cp
-            H[m:, :m] = self.cp.T
-            H[m:, m:] = self.pp
-            return H
-        n = m + 2 * P
-        H = np.zeros((n, n))
-        H[:m, :m] = self.cc
-        H[:m, m:m + P] = self.cp
-        H[:m, m + P:] = self.cq
-        H[m:m + P, :m] = self.cp.T
-        H[m:m + P, m:m + P] = self.pp
-        H[m:m + P, m + P:] = self.pq
-        H[m + P:, :m] = self.cq.T
-        H[m + P:, m:m + P] = self.pq.T
-        H[m + P:, m + P:] = self.qq
-        return H
+            return np.block([[self.cc, self.cp], [self.cp.T, self.pp]])
+        return np.block([[self.cc, self.cp, self.cq],
+                         [self.cp.T, self.pp, self.pq],
+                         [self.cq.T, self.pq.T, self.qq]])
 
 
 def newton_terms_asymmetric(appearance, frame, warp_jac, residual,
@@ -260,10 +245,9 @@ def newton_terms_bidirectional(appearance, frame, warp_jac, residual,
 def _appearance_block(appearance, frame, active):
     """Block cc = A_act^T A_act: the identity on the full frame, where
     the basis is orthonormal, computed on a pixel subset."""
+    m = appearance.n_components
     if active is None:
-        return np.eye(appearance.n_components)
-    F = frame.n_pixels
-    k = appearance.n_features // F
-    rows = np.concatenate([np.asarray(active) + ch * F for ch in range(k)])
-    A_act = appearance.basis[rows]
+        return np.eye(m)
+    A_act = appearance.basis.reshape(-1, frame.n_pixels, m)[:, active]
+    A_act = A_act.reshape(-1, m)
     return A_act.T @ A_act

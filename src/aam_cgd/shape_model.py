@@ -6,7 +6,6 @@ Shapes are flat float64 vectors of length 2v with interleaved coordinates
 (x1, y1, ..., xv, yv).
 """
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -240,12 +239,13 @@ def _freeze(*arrays):
 
 
 def _resolve_n_components(n_components, evals, what):
-    """Interpret a truncation request: int = mode count, float = cumulative
-    variance ratio in (0, 1], None = keep everything."""
+    """Interpret a truncation request: int = mode count, float (numpy
+    floats included) = cumulative variance ratio in (0, 1], None = keep
+    everything."""
     available = evals.size
     if n_components is None:
         return available
-    if isinstance(n_components, float):
+    if isinstance(n_components, (float, np.floating)):
         if not 0 < n_components <= 1:
             raise DimensionError(
                 f"{what} variance ratio must lie in (0, 1], "
@@ -351,36 +351,3 @@ def project_shape(model, s):
         raise DimensionError(
             f"expected shape length {model.mean.size}, got {s.size}")
     return model.basis.T @ (s - model.mean)
-
-
-def load_landmarks(path):
-    """Read landmarks from a text file ("x y" per line, pts-style headers
-    tolerated) or from a JSON array of [x, y] pairs."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("["):
-        pairs = json.loads(text)
-        pts = np.asarray(pairs, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise DimensionError(f"{path}: JSON landmarks must be [x, y] pairs")
-        return as_shape(pts)
-    pts = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line in ("{", "}"):
-            continue
-        if ":" in line:  # pts-style header (version, n_points)
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise DimensionError(f"{path}: expected 'x y' per line")
-        pts.append([float(fields[0]), float(fields[1])])
-    return as_shape(np.asarray(pts, dtype=np.float64))
-
-
-def save_landmarks(path, s):
-    pts = shape_to_points(s)
-    with open(path, "w", encoding="utf-8") as fh:
-        for x, y in pts:
-            fh.write(f"{float(x)!r} {float(y)!r}\n")

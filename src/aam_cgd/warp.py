@@ -5,6 +5,11 @@ Frame positions are expressed in the mean shape's coordinate system
 (x = column + x-origin, y = row + y-origin); images use array coordinates
 where position (x, y) reads pixels[int(y), int(x)].
 
+On this frame the warp is linear in the landmarks: `Triangulation.interp`
+is a sparse (F, n_points) operator of barycentric weights, three per row,
+and `interp @ points` places the masked pixels under the warp that takes
+the mean shape onto `points`.
+
 Warped image vectors are channel-major: vec[ch * F + i] holds channel
 `ch` at masked pixel `i`.
 """
@@ -65,24 +70,20 @@ class ReferenceFrame:
 
 @dataclass(frozen=True)
 class Triangulation:
-    """Triangle list over the mean shape plus per-pixel barycentric data."""
+    """Triangle list over the mean shape plus the interpolation operator."""
 
     triangles: np.ndarray    # (T, 3) vertex indices
-    pixel_tri: np.ndarray    # (F,) triangle id per masked pixel
-    barycentric: np.ndarray  # (F, 3)
+    interp: csr_matrix       # (F, n_points) three entries per row
 
     @property
     def n_triangles(self):
         return self.triangles.shape[0]
 
     def validate(self):
-        if np.any(self.pixel_tri < 0) or np.any(
-                self.pixel_tri >= self.n_triangles):
-            raise DimensionError("pixel -> triangle map out of range")
-        sums = self.barycentric.sum(axis=1)
+        sums = np.asarray(self.interp.sum(axis=1)).ravel()
         if not np.allclose(sums, 1.0, atol=1e-9):
             raise DimensionError("barycentric coordinates do not sum to 1")
-        if np.any(self.barycentric < -BARYCENTRIC_TOL):
+        if np.any(self.interp.data < -BARYCENTRIC_TOL):
             raise DimensionError("negative barycentric coordinate")
         return self
 
@@ -143,12 +144,22 @@ def _difference_operator(minus, plus):
 
 
 def build_reference_frame(model, margin=0):
-    """Delaunay-triangulate the mean shape and rasterize its pixel grid."""
+    """Delaunay-triangulate the mean shape and rasterize its pixel grid.
+
+    A grid point is masked when its barycentric coordinates in a triangle
+    are all >= -BARYCENTRIC_TOL (and it is that close to the bounding box).
+    Tie rule, as in `rasterize_barycentric`: a point on a shared edge or
+    vertex takes the lowest-numbered triangle, so `find_simplex` runs
+    brute force, not its order-dependent walk.  Weights are clipped at 0
+    and renormalised.
+    """
     pts = shape_to_points(model.mean)
     try:
         delaunay = Delaunay(pts)
     except QhullError as exc:
         raise DegeneracyError(f"mean shape cannot be triangulated: {exc}")
+    if not np.all(np.isfinite(delaunay.transform)):
+        raise DegeneracyError("degenerate triangle in the mean shape's mesh")
     triangles = np.ascontiguousarray(delaunay.simplices, dtype=np.int64)
 
     x0 = int(np.floor(pts[:, 0].min())) - margin
@@ -159,19 +170,26 @@ def build_reference_frame(model, margin=0):
 
     cols, rows = np.meshgrid(np.arange(width), np.arange(height))
     queries = np.column_stack([(cols + x0).ravel(), (rows + y0).ravel()])
-    tri_id, bary = rasterize_barycentric(pts, triangles, queries)
+    simplex = delaunay.find_simplex(queries, bruteforce=True,
+                                    tol=BARYCENTRIC_TOL)
 
-    inside = tri_id >= 0
+    inside = simplex >= 0
     mask = inside.reshape(height, width)
     F = int(inside.sum())
     if F == 0:
         raise DegeneracyError("mean shape covers no pixels; rescale it")
     index_grid = np.full((height, width), -1, dtype=np.int64)
     index_grid[mask] = np.arange(F)
-
     positions = queries[inside]
-    pixel_tri = tri_id[inside]
-    barycentric = bary[inside]
+
+    # transform[s] = (T, r): coordinates T @ (x - r), then 1 - their sum.
+    simplex = simplex[inside]
+    T = delaunay.transform[simplex]                      # (F, 3, 2)
+    uv = (T[:, :2] @ (positions - T[:, 2])[:, :, None])[:, :, 0]
+    weights = np.clip(np.column_stack([uv, 1.0 - uv.sum(axis=1)]), 0.0, None)
+    weights /= weights.sum(axis=1, keepdims=True)
+    interp = csr_matrix((weights.ravel(), triangles[simplex].ravel(),
+                         np.arange(0, 3 * F + 1, 3)), shape=(F, pts.shape[0]))
 
     rr, cc = np.nonzero(mask)
     neighbors = np.full((F, 4), -1, dtype=np.int64)
@@ -187,8 +205,7 @@ def build_reference_frame(model, margin=0):
         index_grid=index_grid, positions=positions, neighbors=neighbors,
         diff_x=_difference_operator(neighbors[:, 0], neighbors[:, 1]),
         diff_y=_difference_operator(neighbors[:, 2], neighbors[:, 3]))
-    tri = Triangulation(triangles=triangles, pixel_tri=pixel_tri,
-                        barycentric=barycentric)
+    tri = Triangulation(triangles=triangles, interp=interp)
     return frame.validate(), tri.validate()
 
 
@@ -220,14 +237,6 @@ def bilinear_sample(image, positions):
             + v10 * (1 - fx) * fy + v11 * fx * fy)
 
 
-def warp_destinations(shape, tri):
-    """Image-space destination of every masked pixel under the warp that
-    maps the mean shape onto `shape`."""
-    pts = shape_to_points(shape)
-    verts = pts[tri.triangles[tri.pixel_tri]]          # (F, 3, 2)
-    return np.einsum("ft,ftd->fd", tri.barycentric, verts)
-
-
 def warp_to_reference(image, shape, frame, tri):
     """Warp an image onto the reference frame.
 
@@ -237,8 +246,7 @@ def warp_to_reference(image, shape, frame, tri):
     img = np.asarray(image, dtype=np.float64)
     if img.size == 0:
         raise DimensionError("empty image")
-    dest = warp_destinations(shape, tri)
-    samples = bilinear_sample(img, dest)               # (F, k)
+    samples = bilinear_sample(img, tri.interp @ shape_to_points(shape))
     return samples.T.ravel()
 
 
@@ -257,13 +265,8 @@ def sample_frame_image(grids, frame, positions):
 def warp_jacobian_identity(model, frame, tri):
     """Derivative of warped pixel positions w.r.t. the shape parameters,
     evaluated at the identity warp.  Returns (F, 2, n_params)."""
-    basis = model.basis
-    sx = basis[0::2, :]
-    sy = basis[1::2, :]
-    verts = tri.triangles[tri.pixel_tri]               # (F, 3)
-    bx = np.einsum("ft,ftp->fp", tri.barycentric, sx[verts])
-    by = np.einsum("ft,ftp->fp", tri.barycentric, sy[verts])
-    return np.stack([bx, by], axis=1)
+    P = model.basis.shape[1]   # row v of the (v, 2P) view: x row, y row
+    return (tri.interp @ model.basis.reshape(-1, 2 * P)).reshape(-1, 2, P)
 
 
 def _triangle_linear_maps(ref_pts, cur_pts, triangles):
@@ -351,8 +354,5 @@ class WarpEngine:
     def increment_positions(self, dp):
         """Positions W(x; dp) of the masked pixels under an incremental
         warp, in mean coordinates."""
-        disp = (self.model.basis @ np.asarray(dp, dtype=np.float64)).reshape(
-            -1, 2)
-        verts = self.tri.triangles[self.tri.pixel_tri]
-        move = np.einsum("ft,ftd->fd", self.tri.barycentric, disp[verts])
-        return self.frame.positions + move
+        disp = self.model.basis @ np.asarray(dp, dtype=np.float64)
+        return self.frame.positions + self.tri.interp @ disp.reshape(-1, 2)

@@ -30,6 +30,14 @@ class TestBuildAppearanceModel:
             prev = part.eigenvalues[:-1].sum() / full.eigenvalues.sum()
             assert prev < 0.75
 
+    @pytest.mark.parametrize("ratio", [np.float32(0.75), np.float64(0.75)],
+                             ids=["float32", "float64"])
+    def test_numpy_float_is_variance_ratio(self, rng, ratio):
+        _, data = random_model(rng, dim=60, m=8, n_samples=30)
+        plain = build_appearance_model(list(data), n_components=0.75)
+        typed = build_appearance_model(list(data), n_components=ratio)
+        assert 0 < typed.n_components == plain.n_components
+
     def test_duplicated_image_gives_empty_basis_with_noise_floor(self):
         img = np.linspace(0.0, 1.0, 25)
         model = build_appearance_model([img, img, img])

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +7,8 @@ from aam_cgd.errors import (DegeneracyError, DimensionError,
                             InsufficientDataError)
 from aam_cgd.shape_model import (SimilarityTransform, align_similarity,
                                  as_shape, build_shape_model, face_size,
-                                 load_landmarks, orthonormalize, pca,
-                                 procrustes_align, project_shape,
-                                 save_landmarks, shape_instance,
+                                 orthonormalize, pca, procrustes_align,
+                                 project_shape, shape_instance,
                                  similarity_basis)
 
 
@@ -186,6 +183,15 @@ class TestBuildShapeModel:
         np.testing.assert_allclose(part.shape_noise, discarded.mean(),
                                    rtol=1e-8)
 
+    @pytest.mark.parametrize("ratio", [np.float32(0.9), np.float64(0.9)],
+                             ids=["float32", "float64"])
+    def test_numpy_float_is_variance_ratio(self, ratio):
+        rng = np.random.default_rng(10)
+        aligned, _, mean = procrustes_align(random_shapes(rng, 30, v=8))
+        plain = build_shape_model(aligned, mean, n_components=0.9)
+        typed = build_shape_model(aligned, mean, n_components=ratio)
+        assert 0 < typed.n_nonrigid == plain.n_nonrigid
+
 
 def raw_similarity(mean):
     """The four similarity differentials of `mean`, unnormalised: x and y
@@ -304,26 +310,6 @@ class TestInstanceProject:
         once = shape_instance(model, project_shape(model, s))
         twice = shape_instance(model, project_shape(model, once))
         np.testing.assert_allclose(twice, once, atol=1e-10)
-
-
-class TestLandmarkIO:
-    def test_text_roundtrip(self, tmp_path):
-        s = np.array([1.25, -3.5, 0.0, 2.0, 7.0, 1.0])
-        path = tmp_path / "face.pts"
-        save_landmarks(path, s)
-        np.testing.assert_array_equal(load_landmarks(path), s)
-
-    def test_pts_header_skipped(self, tmp_path):
-        path = tmp_path / "face.pts"
-        path.write_text("version: 1\nn_points: 3\n{\n0 0\n1 0\n0 1\n}\n")
-        np.testing.assert_array_equal(
-            load_landmarks(path), [0.0, 0.0, 1.0, 0.0, 0.0, 1.0])
-
-    def test_json_pairs(self, tmp_path):
-        path = tmp_path / "face.json"
-        path.write_text(json.dumps([[0, 0], [2, 0], [0, 2]]))
-        np.testing.assert_array_equal(
-            load_landmarks(path), [0.0, 0.0, 2.0, 0.0, 0.0, 2.0])
 
 
 class TestFaceSize:

@@ -1,11 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from aam_cgd.errors import DegeneracyError, DimensionError
 from aam_cgd.shape_model import (build_shape_model, project_shape,
                                  shape_instance, shape_to_points)
-from aam_cgd.warp import (WarpEngine, build_reference_frame, compose,
-                          invert_increment, rasterize_barycentric,
+from aam_cgd.warp import (BARYCENTRIC_TOL, WarpEngine, build_reference_frame,
+                          compose, invert_increment, rasterize_barycentric,
                           sample_frame_image, warp_jacobian_identity,
                           warp_to_reference)
 
@@ -26,9 +28,10 @@ class TestBuildReferenceFrame:
         assert frame.n_pixels == count
 
     def test_barycentric_sums_to_one(self, toy_engine):
-        sums = toy_engine.tri.barycentric.sum(axis=1)
+        interp = toy_engine.tri.interp
+        sums = np.asarray(interp.sum(axis=1)).ravel()
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
-        assert np.all(toy_engine.tri.barycentric >= 0.0)
+        assert np.all(interp.data >= 0.0)
 
     def test_vertex_pixels_unit_indicator(self):
         model = square_shape_model(8.0)
@@ -38,14 +41,11 @@ class TestBuildReferenceFrame:
             hit = np.flatnonzero(
                 (np.abs(frame.positions - pts[v_idx]) < 1e-12).all(axis=1))
             assert hit.size == 1
-            i = hit[0]
-            corners = tri.triangles[tri.pixel_tri[i]]
-            b = tri.barycentric[i]
-            slot = np.flatnonzero(corners == v_idx)
-            assert slot.size == 1
-            expected = np.zeros(3)
-            expected[slot[0]] = 1.0
-            np.testing.assert_allclose(b, expected, atol=1e-6)
+            row = tri.interp[hit[0]]
+            expected = np.zeros(pts.shape[0])
+            expected[v_idx] = 1.0
+            np.testing.assert_allclose(row.toarray().ravel(), expected,
+                                       atol=1e-6)
 
     def test_collinear_mean_rejected(self):
         line = np.array([0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0])
@@ -66,8 +66,74 @@ class TestBuildReferenceFrame:
 
     def test_every_masked_pixel_has_one_triangle(self, toy_engine):
         tri = toy_engine.tri
-        assert tri.pixel_tri.min() >= 0
-        assert tri.pixel_tri.max() < tri.n_triangles
+        np.testing.assert_array_equal(np.diff(tri.interp.indptr), 3)
+        corners = np.sort(tri.interp.indices.reshape(-1, 3), axis=1)
+        triangles = {tuple(t) for t in np.sort(tri.triangles, axis=1)}
+        assert all(tuple(c) in triangles for c in corners)
+
+    def test_sliver_triangle_rejected(self):
+        # scipy cannot invert this triangle's barycentric transform.
+        sliver = SimpleNamespace(
+            mean=np.array([0.0, 0.0, 10.0, 0.0, 5.0, 1e-12, 5.0, 5.0]))
+        with pytest.raises(DegeneracyError):
+            build_reference_frame(sliver)
+
+
+def _frame_queries(frame):
+    """Every grid point of the frame, row-major, in mean coordinates."""
+    rows, cols = np.mgrid[:frame.height, :frame.width]
+    return np.column_stack([cols.ravel(), rows.ravel()]) + frame.origin
+
+
+def _random_mesh(seed):
+    rng = np.random.default_rng(seed)
+    return SimpleNamespace(mean=rng.uniform(0.0, 20.0, size=24))
+
+
+def _inset_square():
+    """4 x 4 square whose border pixels lie just outside it, within the
+    tolerance, so they belong to the mask."""
+    lo, hi = 0.8 * BARYCENTRIC_TOL, 4.0 - 0.8 * BARYCENTRIC_TOL
+    return SimpleNamespace(mean=np.array([lo, lo, hi, lo, hi, hi, lo, hi]))
+
+
+class TestInterpolationOperator:
+    @pytest.mark.parametrize("build", [
+        make_toy_shape_model, make_full_rank_shape_model,
+        lambda rng: square_shape_model(10.0)],
+        ids=["toy", "full_rank", "square"])
+    def test_places_mean_shape_pixels(self, rng, build):
+        model = build(rng)
+        frame, tri = build_reference_frame(model)
+        np.testing.assert_allclose(tri.interp @ shape_to_points(model.mean),
+                                   frame.positions, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mesh", [
+        lambda: square_shape_model(10.0), _inset_square,
+        *[lambda s=s: _random_mesh(s) for s in range(5)]],
+        ids=["square", "inset_square"] + [f"random{s}" for s in range(5)])
+    def test_matches_triangle_loop(self, mesh):
+        # The loop over triangles is the reference rasterizer: same mask,
+        # and each row is its weights scattered onto its triangle.
+        model = mesh()
+        frame, tri = build_reference_frame(model)
+        pts = shape_to_points(model.mean)
+        tri_id, bary = rasterize_barycentric(pts, tri.triangles,
+                                             _frame_queries(frame))
+        inside = tri_id >= 0
+        np.testing.assert_array_equal(frame.mask.ravel(), inside)
+        # Tie rule: the same triangle as the loop's, the first containing.
+        np.testing.assert_array_equal(tri.interp.indices.reshape(-1, 3),
+                                      tri.triangles[tri_id[inside]])
+        expected = np.zeros((frame.n_pixels, pts.shape[0]))
+        np.put_along_axis(expected, tri.triangles[tri_id[inside]],
+                          bary[inside], axis=1)
+        np.testing.assert_allclose(tri.interp.toarray(), expected,
+                                   rtol=0, atol=1e-13)
+
+    def test_border_within_tolerance_is_kept(self):
+        frame, _ = build_reference_frame(_inset_square())
+        assert frame.n_pixels == 25
 
 
 class TestRasterizeBarycentric:
@@ -187,7 +253,7 @@ class TestWarpJacobian:
         model = toy_engine.model
         tri = toy_engine.tri
         pix = 3
-        corners = set(tri.triangles[tri.pixel_tri[pix]].tolist())
+        corners = set(tri.interp[pix].indices.tolist())
         outside = [v for v in range(model.n_points) if v not in corners]
         assert outside, "toy frame too small for the sparsity check"
         tampered = np.array(model.basis)
