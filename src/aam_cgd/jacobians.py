@@ -98,7 +98,7 @@ def gn_hessian(J, projector=None):
                 f"unsupported projector {type(projector)!r}")
         if J.shape[0] != model.n_features:
             raise DimensionError("Jacobian rows do not match the model")
-        B = model.basis.T @ J
+        B = (J.T @ model.basis).T      # faster on the C-ordered basis
         H = w * H + B.T @ (v * B)
     return 0.5 * (H + H.T)
 
@@ -210,8 +210,8 @@ def newton_terms_asymmetric(appearance, frame, warp_jac, residual,
     """
     beta = 1.0 - alpha
     U = _adjoint_image(frame, warp_jac, residual, active)
-    cp = appearance.basis.T @ (beta * U
-                               - _to_frame(J_t, frame.n_pixels, active))
+    X = beta * U - _to_frame(J_t, frame.n_pixels, active)
+    cp = (X.T @ appearance.basis).T
     curv_i = residual_curvature(grad2_image, warp_jac, residual,
                                 active=active)
     curv_m = residual_curvature(grad2_model, warp_jac, residual,

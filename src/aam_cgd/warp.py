@@ -5,10 +5,14 @@ Frame positions are expressed in the mean shape's coordinate system
 (x = column + x-origin, y = row + y-origin); images use array coordinates
 where position (x, y) reads pixels[int(y), int(x)].
 
-On this frame the warp is linear in the landmarks: `Triangulation.interp`
-is a sparse (F, n_points) operator of barycentric weights, three per row,
-and `interp @ points` places the masked pixels under the warp that takes
-the mean shape onto `points`.
+Warping an image onto the frame is two sparse products.  The warp is
+linear in the landmarks: `Triangulation.interp` is a sparse (F, n_points)
+operator of barycentric weights, three per row, and `interp @ points`
+places the masked pixels under the warp that takes the mean shape onto
+`points`.  Sampling is linear in the pixels: `bilinear_sample` builds a
+sparse (F, H * W) operator with the four bilinear weights of each
+warped position's cell, and its product with the image's (H * W, k)
+pixel rows gives the warped values.
 
 Warped image vectors are channel-major: vec[ch * F + i] holds channel
 `ch` at masked pixel `i`.
@@ -213,41 +217,53 @@ def bilinear_sample(image, positions):
     """Sample image channels at float positions, clamping to the border.
 
     image: (H, W) or (H, W, k); positions: (N, 2) in (x, y) array coords.
-    Returns (N, k).
+    Returns (N, k) = S @ pixels, with S the sparse (N, H * W) operator
+    whose row i holds the weights of the four corners of position i's
+    cell at the flat pixel indices y * W + x.  On a 1-pixel side both
+    corners along it are that pixel.  Corners of zero weight are stored
+    too, so a NaN pixel at any corner makes the sample NaN.  Non-finite
+    positions raise `DimensionError`.
     """
     img = np.asarray(image, dtype=np.float64)
     if img.ndim == 2:
         img = img[:, :, None]
     h, w, k = img.shape
+    positions = np.asarray(positions, dtype=np.float64)
+    if not np.all(np.isfinite(positions)):
+        raise DimensionError("non-finite sample position")
+    idx = np.int32 if h * w < 2 ** 31 else np.int64
     x = np.clip(positions[:, 0], 0.0, w - 1.0)
     y = np.clip(positions[:, 1], 0.0, h - 1.0)
-    x0 = np.floor(x).astype(np.int64)
-    y0 = np.floor(y).astype(np.int64)
-    x0 = np.minimum(x0, w - 2) if w > 1 else x0 * 0
-    y0 = np.minimum(y0, h - 2) if h > 1 else y0 * 0
+    x0 = np.minimum(x.astype(idx), max(w - 2, 0))    # floor, as x >= 0
+    y0 = np.minimum(y.astype(idx), max(h - 2, 0))
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    fx = (x - x0)[:, None]
-    fy = (y - y0)[:, None]
-    v00 = img[y0, x0]
-    v01 = img[y0, x1]
-    v10 = img[y1, x0]
-    v11 = img[y1, x1]
-    return (v00 * (1 - fx) * (1 - fy) + v01 * fx * (1 - fy)
-            + v10 * (1 - fx) * fy + v11 * fx * fy)
+    fx, fy = x - x0, y - y0
+    gx, gy = 1.0 - fx, 1.0 - fy
+    weights = np.column_stack([gx * gy, fx * gy, gx * fy, fx * fy])
+    r0, r1 = y0 * w, y1 * w
+    cols = np.column_stack([r0 + x0, r0 + x1, r1 + x0, r1 + x1])
+    n = positions.shape[0]
+    S = csr_matrix((weights.ravel(), cols.ravel(),
+                    np.arange(0, 4 * n + 1, 4, dtype=idx)), shape=(n, h * w))
+    return S @ img.reshape(-1, k)
 
 
 def warp_to_reference(image, shape, frame, tri):
     """Warp an image onto the reference frame.
 
-    Returns the channel-major vector of length F * k.
+    Returns the channel-major vector of length F * k.  A non-finite
+    sampled value, such as a NaN pixel under the face, raises
+    `DimensionError`; non-finite pixels elsewhere in the image are not read.
     """
     shape = as_shape(shape)
     img = np.asarray(image, dtype=np.float64)
     if img.size == 0:
         raise DimensionError("empty image")
-    samples = bilinear_sample(img, tri.interp @ shape_to_points(shape))
-    return samples.T.ravel()
+    vec = bilinear_sample(img, tri.interp @ shape_to_points(shape)).T.ravel()
+    if not np.all(np.isfinite(vec)):
+        raise DimensionError("non-finite pixel under the warped face")
+    return vec
 
 
 def sample_frame_image(grids, frame, positions):

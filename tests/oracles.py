@@ -114,6 +114,32 @@ def residual_curvature_sum(second, warp_jac, weighted_residual,
     return H
 
 
+def bilinear_reference(image, positions):
+    """Bilinear sampling with border clamping, written out corner by
+    corner: four 2-D gathers and their weights.  (H, W[, k]) image,
+    (N, 2) positions in (x, y) array coords; returns (N, k)."""
+    img = np.asarray(image, dtype=np.float64)
+    if img.ndim == 2:
+        img = img[:, :, None]
+    h, w, _ = img.shape
+    x = np.clip(positions[:, 0], 0.0, w - 1.0)
+    y = np.clip(positions[:, 1], 0.0, h - 1.0)
+    x0 = np.floor(x).astype(np.int64)
+    y0 = np.floor(y).astype(np.int64)
+    x0 = np.minimum(x0, w - 2) if w > 1 else x0 * 0
+    y0 = np.minimum(y0, h - 2) if h > 1 else y0 * 0
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = (x - x0)[:, None]
+    fy = (y - y0)[:, None]
+    v00 = img[y0, x0]
+    v01 = img[y0, x1]
+    v10 = img[y1, x0]
+    v11 = img[y1, x1]
+    return (v00 * (1 - fx) * (1 - fy) + v01 * fx * (1 - fy)
+            + v10 * (1 - fx) * fy + v11 * fx * fy)
+
+
 def bilinear_vector(frame, coeffs_per_channel):
     """Evaluate bilinear fields on the masked pixels, channel-major."""
     x, y = frame.positions[:, 0], frame.positions[:, 1]

@@ -6,14 +6,15 @@ import pytest
 from aam_cgd.errors import DegeneracyError, DimensionError
 from aam_cgd.shape_model import (build_shape_model, project_shape,
                                  shape_instance, shape_to_points)
-from aam_cgd.warp import (BARYCENTRIC_TOL, WarpEngine, build_reference_frame,
-                          compose, invert_increment, rasterize_barycentric,
-                          sample_frame_image, warp_jacobian_identity,
-                          warp_to_reference)
+from aam_cgd.warp import (BARYCENTRIC_TOL, WarpEngine, bilinear_sample,
+                          build_reference_frame, compose, invert_increment,
+                          rasterize_barycentric, sample_frame_image,
+                          warp_jacobian_identity, warp_to_reference)
 
 from conftest import (bilinear_field, bilinear_value,
                       make_full_rank_shape_model, make_toy_shape_model,
                       square_shape_model)
+from oracles import bilinear_reference, interior_pixels
 
 
 class TestBuildReferenceFrame:
@@ -157,6 +158,43 @@ class TestRasterizeBarycentric:
         np.testing.assert_allclose(rec, queries[ok], atol=1e-9)
 
 
+class TestBilinearSample:
+    @pytest.mark.parametrize("shape", [(9, 7), (9, 7, 1), (9, 7, 3),
+                                       (1, 7, 3), (9, 1, 3), (1, 1, 3)])
+    def test_matches_four_corner_reference(self, rng, shape):
+        img = rng.uniform(-50.0, 100.0, size=shape)
+        h, w = shape[:2]
+        cols, rows = np.meshgrid(np.arange(w), np.arange(h))
+        positions = np.vstack([
+            rng.uniform(0.0, [w - 1.0, h - 1.0], size=(200, 2)),
+            rng.uniform(-20.0, [w + 20.0, h + 20.0], size=(200, 2)),
+            np.column_stack([cols.ravel(), rows.ravel()]),
+            np.column_stack([rng.uniform(0.0, w - 1.0, 20),
+                             np.full(20, h - 1.0)]),
+            np.column_stack([np.full(20, w - 1.0),
+                             rng.uniform(0.0, h - 1.0, 20)]),
+        ])
+        scale = np.abs(img).max()
+        got = bilinear_sample(img, positions)
+        want = bilinear_reference(img, positions)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15 * scale)
+        # NaN pixels make every sample that reads them NaN, at any weight,
+        # so both must read the same four pixels per sample.  Samples on
+        # the last row and column read row h-2 and column w-2 at weight 0.
+        first = img.reshape(h, w, -1)[:, :, 0]
+        first[h // 2, w // 2] = first[max(h - 2, 0), max(w - 2, 0)] = np.nan
+        np.testing.assert_allclose(bilinear_sample(img, positions),
+                                   bilinear_reference(img, positions),
+                                   rtol=0.0, atol=1e-15 * scale)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_position_rejected(self, bad):
+        positions = np.array([[1.5, 2.5], [bad, 1.0]])
+        with pytest.raises(DimensionError):
+            bilinear_sample(np.ones((5, 5, 3)), positions)
+
+
 class TestWarpToReference:
     def test_identity_warp_recovers_rendered_values(self, toy_engine):
         frame = toy_engine.frame
@@ -217,6 +255,21 @@ class TestWarpToReference:
         pts[:, 0] += 100.0  # every sample lands beyond the right border
         vec = toy_engine.warp(img, pts.ravel())
         np.testing.assert_allclose(vec, 11.0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pixel_under_face_rejected(self, toy_engine, bad):
+        x, y = toy_engine.frame.positions[0]
+        img = np.ones((30, 30, 3))
+        img[int(y), int(x), 1] = bad
+        with pytest.raises(DimensionError):
+            toy_engine.warp(img, toy_engine.model.mean)
+
+    def test_non_finite_pixel_away_from_face_not_read(self, toy_engine):
+        img = np.ones((30, 30, 3))
+        img[29, 29] = np.nan
+        img[0, 29] = np.inf
+        vec = toy_engine.warp(img, toy_engine.model.mean)
+        np.testing.assert_array_equal(vec, 1.0)
 
 
 class TestWarpJacobian:
@@ -345,3 +398,24 @@ class TestFrameImageSampling:
         grids = frame.to_grid(vec)
         got = sample_frame_image(grids, frame, frame.positions)
         np.testing.assert_allclose(got[:, 0], vec, atol=1e-9)
+
+    def test_nan_outside_mask_propagates(self, toy_engine, rng):
+        frame = toy_engine.frame
+        grids = frame.to_grid(np.ones(frame.n_pixels), fill=np.nan)
+        cols, rows = np.meshgrid(np.arange(frame.width),
+                                 np.arange(frame.height))
+        grid_pts = np.column_stack([cols.ravel(), rows.ravel()])
+        array_pos = np.vstack([
+            grid_pts, rng.uniform(-1.0, [frame.width, frame.height],
+                                  size=(300, 2))])
+        got = sample_frame_image(grids, frame, array_pos + frame.origin)
+        want = bilinear_reference(np.moveaxis(grids, 0, -1), array_pos)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+        # Interior pixels read only masked corners; a masked pixel whose
+        # zero-weight corner lies outside the mask reads NaN.
+        at_grid = got[:grid_pts.shape[0], 0]
+        interior = interior_pixels(frame)
+        assert interior.size and np.all(at_grid[
+            np.flatnonzero(frame.mask.ravel())[interior]] == 1.0)
+        assert np.isnan(at_grid[frame.mask.ravel()]).any()
+        assert np.isnan(at_grid[~frame.mask.ravel()]).all()
