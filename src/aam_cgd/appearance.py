@@ -39,11 +39,11 @@ class AppearanceModel:
     def n_features(self):
         return self.mean.size
 
-    def validate(self, atol=1e-10):
+    def validate(self):
         if self.basis.shape[0] != self.mean.size:
             raise DimensionError("basis rows do not match mean length")
         m = self.n_components
-        if not np.allclose(self.basis.T @ self.basis, np.eye(m), atol=atol):
+        if not np.allclose(self.basis.T @ self.basis, np.eye(m), atol=1e-10):
             raise DimensionError("appearance basis is not orthonormal")
         if np.max(np.abs(self.basis.T @ self.mean), initial=0.0) > 1e-8:
             raise DimensionError("appearance mean not orthogonal to basis")

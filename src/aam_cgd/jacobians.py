@@ -135,8 +135,8 @@ def basis_gradient_stack(appearance, frame, warp_jac, residual, active=None):
     A^T U with U the adjoint image of `_adjoint_image`, so the m columns
     cost two sparse adjoint products and one GEMM.
     """
-    return appearance.basis.T @ _adjoint_image(frame, warp_jac, residual,
-                                               active)
+    U = _adjoint_image(frame, warp_jac, residual, active)
+    return (U.T @ appearance.basis).T      # faster on the C-ordered basis
 
 
 def _adjoint_image(frame, warp_jac, residual, active):
@@ -227,8 +227,8 @@ def newton_terms_bidirectional(appearance, frame, warp_jac, residual,
     """Second-order blocks for independent image/model increments."""
     F, P = frame.n_pixels, J_i.shape[1]
     U = _adjoint_image(frame, warp_jac, residual, active)
-    cross = appearance.basis.T @ np.hstack(
-        [_to_frame(J_i, F, active), _to_frame(J_a, F, active) - U])
+    X = np.hstack([_to_frame(J_i, F, active), _to_frame(J_a, F, active) - U])
+    cross = (X.T @ appearance.basis).T
     cp, cq = -cross[:, :P], cross[:, P:]
     curv_i = residual_curvature(grad2_image, warp_jac, residual,
                                 active=active)

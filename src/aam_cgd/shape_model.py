@@ -3,7 +3,8 @@ augmented orthonormal shape basis.  `pca` and `orthonormalize` also build
 the appearance model.
 
 Shapes are flat float64 vectors of length 2v with interleaved coordinates
-(x1, y1, ..., xv, yv).
+(x1, y1, ..., xv, yv).  The alignment reads them as v complex landmarks
+z = x + iy (a `complex128` view), where a 2D similarity is z -> a z + t.
 """
 
 import warnings
@@ -35,17 +36,9 @@ def shape_to_points(s):
     return np.asarray(s, dtype=np.float64).reshape(-1, 2)
 
 
-def points_to_shape(pts):
-    return np.asarray(pts, dtype=np.float64).ravel()
-
-
-def centroid(s):
-    return shape_to_points(s).mean(axis=0)
-
-
 def face_size(s):
     """Mean of the width and height of the shape's bounding box."""
-    pts = shape_to_points(s)
+    pts = shape_to_points(as_shape(s))
     extent = pts.max(axis=0) - pts.min(axis=0)
     size = 0.5 * (extent[0] + extent[1])
     if size <= 0:
@@ -53,118 +46,56 @@ def face_size(s):
     return float(size)
 
 
-@dataclass(frozen=True)
-class SimilarityTransform:
-    """2D similarity y = scale * R @ x + translation."""
-
-    scale: float
-    rotation: np.ndarray     # (2, 2) orthogonal, det +1
-    translation: np.ndarray  # (2,)
-
-    def __post_init__(self):
-        R = np.asarray(self.rotation, dtype=np.float64)
-        if self.scale <= 0:
-            raise DimensionError("similarity scale must be positive")
-        if not np.allclose(R.T @ R, np.eye(2), atol=1e-12):
-            raise DimensionError("rotation matrix is not orthogonal")
-        if abs(np.linalg.det(R) - 1.0) > 1e-12:
-            raise DimensionError("rotation matrix must have determinant +1")
-        object.__setattr__(self, "rotation", R)
-        object.__setattr__(
-            self, "translation",
-            np.asarray(self.translation, dtype=np.float64).reshape(2))
-
-    @property
-    def angle(self):
-        return float(np.arctan2(self.rotation[1, 0], self.rotation[0, 0]))
-
-    def apply(self, s):
-        pts = shape_to_points(s)
-        out = self.scale * pts @ self.rotation.T + self.translation
-        return points_to_shape(out)
-
-    def inverse(self):
-        Rinv = self.rotation.T
-        return SimilarityTransform(
-            scale=1.0 / self.scale,
-            rotation=Rinv,
-            translation=-(1.0 / self.scale) * (Rinv @ self.translation))
-
-    @classmethod
-    def identity(cls):
-        return cls(scale=1.0, rotation=np.eye(2), translation=np.zeros(2))
-
-
-def align_similarity(source, target):
-    """Least-squares similarity mapping `source` onto `target`.
-
-    Closed form via the complex representation of 2D points.
-    """
-    src = shape_to_points(source)
-    tgt = shape_to_points(target)
-    if src.shape != tgt.shape:
-        raise DimensionError("source and target must have equal lengths")
-    cs, ct = src.mean(axis=0), tgt.mean(axis=0)
-    zs = (src[:, 0] - cs[0]) + 1j * (src[:, 1] - cs[1])
-    zt = (tgt[:, 0] - ct[0]) + 1j * (tgt[:, 1] - ct[1])
-    denom = np.vdot(zs, zs).real
-    if denom <= 0 or not np.isfinite(denom):
-        raise DegeneracyError("source shape is degenerate (zero extent)")
-    a = np.vdot(zs, zt) / denom  # vdot conjugates the first argument
-    scale = abs(a)
-    if scale <= 0:
-        raise DegeneracyError("degenerate similarity alignment")
-    theta = np.angle(a)
-    R = np.array([[np.cos(theta), -np.sin(theta)],
-                  [np.sin(theta), np.cos(theta)]])
-    t = ct - scale * R @ cs
-    return SimilarityTransform(scale=scale, rotation=R, translation=t)
-
-
-def _center_and_normalize(s):
-    pts = shape_to_points(s) - centroid(s)
-    norm = np.linalg.norm(pts)
-    if norm <= 0 or not np.isfinite(norm):
+def _unit_centred(z):
+    """Complex landmark rows (..., v) moved to zero centroid and unit norm."""
+    z = z - z.mean(axis=-1, keepdims=True)
+    norm = np.linalg.norm(z, axis=-1, keepdims=True)
+    if not np.all(np.isfinite(norm) & (norm > 0)):
         raise DegeneracyError("degenerate shape: all landmarks coincide")
-    return points_to_shape(pts / norm)
+    return z / norm
 
 
-def procrustes_align(shapes, max_iters=PROCRUSTES_MAX_ITERS,
-                     tol=PROCRUSTES_TOL):
-    """Generalized Procrustes analysis.
+def _scale_rotation(centred, mean):
+    """a_i with centred_i ~ a_i * mean: the least-squares scale and rotation
+    of each centred shape against the unit, centred mean."""
+    a = centred @ mean.conj()
+    if not np.all(a != 0):
+        raise DegeneracyError("degenerate similarity alignment")
+    return a
 
-    Returns (aligned, transforms, mean) where aligned[i] is shapes[i] with
-    the inverse of transforms[i] applied, transforms[i] is the similarity
-    mapping the mean onto shapes[i], and the mean has zero centroid and
-    unit centered norm.
 
-    The initial reference is the average of the centered, unit-normalized
+def procrustes_align(shapes):
+    """Generalized Procrustes analysis on complex landmarks z = x + iy.
+
+    The similarity taking the mean onto shape i is z_i = a_i * mean + t_i,
+    with t_i the shape's centroid and a_i its scale and rotation.  Returns
+    (aligned, similarities, mean): the (n, 2v) shapes (z_i - t_i) / a_i,
+    the (n, 4) rows (Re a_i, Im a_i, Re t_i, Im t_i), and the mean, which
+    has zero centroid and unit norm.
+
+    The initial reference is the average of the centred, unit-normalized
     inputs, which makes the result independent of input ordering.
     """
     if len(shapes) < 2:
         raise InsufficientDataError("need at least 2 shapes to align")
     shapes = [as_shape(s) for s in shapes]
-    length = shapes[0].size
-    for s in shapes[1:]:
-        if s.size != length:
-            raise DimensionError("all shapes must have the same length")
-
-    normalized = np.stack([_center_and_normalize(s) for s in shapes])
-    mean = _center_and_normalize(normalized.mean(axis=0))
-
-    aligned = None
-    for _ in range(max_iters):
-        transforms = [align_similarity(mean, s) for s in shapes]
-        aligned = [t.inverse().apply(s) for t, s in zip(transforms, shapes)]
-        new_mean = _center_and_normalize(np.mean(aligned, axis=0))
+    if any(s.size != shapes[0].size for s in shapes):
+        raise DimensionError("all shapes must have the same length")
+    z = np.stack(shapes).view(np.complex128)          # (n, v)
+    t = z.mean(axis=1)
+    centred = z - t[:, None]
+    mean = _unit_centred(_unit_centred(z).mean(axis=0))
+    for _ in range(PROCRUSTES_MAX_ITERS):
+        a = _scale_rotation(centred, mean)
+        new_mean = _unit_centred((centred / a[:, None]).mean(axis=0))
         change = np.linalg.norm(new_mean - mean)
         mean = new_mean
-        if change < tol:
+        if change < PROCRUSTES_TOL:
             break
-
-    transforms = [align_similarity(mean, s) for s in shapes]
-    aligned = [t.inverse().apply(s) for t, s in zip(transforms, shapes)]
-    return aligned, transforms, mean
+    a = _scale_rotation(centred, mean)
+    aligned = centred / a[:, None]
+    return (aligned.view(np.float64),
+            np.stack([a, t], axis=1).view(np.float64), mean.view(np.float64))
 
 
 def similarity_basis(mean):
@@ -173,15 +104,14 @@ def similarity_basis(mean):
     Column order: x-translation, y-translation, scale, rotation.  Scale and
     rotation differentials are taken about the mean's centroid.
     """
-    mean = as_shape(mean)
-    pts = shape_to_points(mean) - centroid(mean)
-    v = pts.shape[0]
-    cols = np.zeros((2 * v, 4))
+    pts = shape_to_points(as_shape(mean))
+    pts = pts - pts.mean(axis=0)
+    cols = np.zeros((pts.size, 4))
     cols[0::2, 0] = 1.0                      # d/d tx
     cols[1::2, 1] = 1.0                      # d/d ty
-    cols[:, 2] = points_to_shape(pts)        # d/d scale
+    cols[:, 2] = pts.ravel()                 # d/d scale
     rot90 = np.column_stack([-pts[:, 1], pts[:, 0]])
-    cols[:, 3] = points_to_shape(rot90)      # d/d angle
+    cols[:, 3] = rot90.ravel()               # d/d angle
     return orthonormalize(cols)
 
 
@@ -212,7 +142,7 @@ class ShapeModel:
     def n_params(self):
         return self.basis.shape[1]
 
-    def validate(self, atol=1e-10):
+    def validate(self):
         if self.mean.size % 2 != 0 or self.mean.size < 6:
             raise DimensionError("invalid mean shape length")
         if self.basis.shape[0] != self.mean.size:
@@ -220,7 +150,7 @@ class ShapeModel:
         if self.basis.shape[1] < N_SIMILARITY:
             raise DimensionError("basis must include 4 similarity columns")
         gram = self.basis.T @ self.basis
-        if not np.allclose(gram, np.eye(self.n_params), atol=atol):
+        if not np.allclose(gram, np.eye(self.n_params), atol=1e-10):
             raise DimensionError("shape basis is not orthonormal")
         if self.eigenvalues.size != self.n_nonrigid:
             raise DimensionError("eigenvalue count does not match basis")
@@ -272,9 +202,15 @@ def orthonormalize(C):
 
     Column j of Q lies in the span of C's first j columns and has a
     positive inner product with C[:, j] (L has a positive diagonal), so
-    the columns keep their order and orientation.
+    the columns keep their order and orientation.  Linearly dependent
+    columns raise `DegeneracyError`.
     """
-    return C @ np.linalg.inv(np.linalg.cholesky(C.T @ C)).T
+    try:
+        L = np.linalg.cholesky(C.T @ C)
+    except np.linalg.LinAlgError:
+        raise DegeneracyError("cannot orthonormalize linearly dependent "
+                              "columns") from None
+    return C @ np.linalg.inv(L).T
 
 
 def pca(X, ref_norm2, n_components, what):

@@ -79,10 +79,6 @@ class Triangulation:
     triangles: np.ndarray    # (T, 3) vertex indices
     interp: csr_matrix       # (F, n_points) three entries per row
 
-    @property
-    def n_triangles(self):
-        return self.triangles.shape[0]
-
     def validate(self):
         sums = np.asarray(self.interp.sum(axis=1)).ravel()
         if not np.allclose(sums, 1.0, atol=1e-9):
@@ -92,14 +88,13 @@ class Triangulation:
         return self
 
 
-def rasterize_barycentric(vertices, triangles, queries,
-                          tol=BARYCENTRIC_TOL):
+def rasterize_barycentric(vertices, triangles, queries):
     """Locate query points in a triangle mesh.
 
     Returns (tri_id, bary) where tri_id[i] is the first triangle containing
     queries[i] (-1 if none) and bary[i] its clipped, renormalized
-    barycentric coordinates.  Containment allows coordinates >= -tol so
-    that points exactly on edges are kept.
+    barycentric coordinates.  Containment allows coordinates
+    >= -BARYCENTRIC_TOL so that points exactly on edges are kept.
     """
     vertices = np.asarray(vertices, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
@@ -120,7 +115,7 @@ def rasterize_barycentric(vertices, triangles, queries,
         uv = rel @ inv.T
         b1 = 1.0 - uv[:, 0] - uv[:, 1]
         coords = np.column_stack([b1, uv[:, 0], uv[:, 1]])
-        inside = np.all(coords >= -tol, axis=1)
+        inside = np.all(coords >= -BARYCENTRIC_TOL, axis=1)
         hit_idx = np.flatnonzero(todo)[inside]
         tri_id[hit_idx] = t
         bary[hit_idx] = np.clip(coords[inside], 0.0, None)
@@ -147,7 +142,7 @@ def _difference_operator(minus, plus):
                        (rows, np.concatenate([lo, hi]))), shape=(F, F))
 
 
-def build_reference_frame(model, margin=0):
+def build_reference_frame(model):
     """Delaunay-triangulate the mean shape and rasterize its pixel grid.
 
     A grid point is masked when its barycentric coordinates in a triangle
@@ -166,10 +161,10 @@ def build_reference_frame(model, margin=0):
         raise DegeneracyError("degenerate triangle in the mean shape's mesh")
     triangles = np.ascontiguousarray(delaunay.simplices, dtype=np.int64)
 
-    x0 = int(np.floor(pts[:, 0].min())) - margin
-    y0 = int(np.floor(pts[:, 1].min())) - margin
-    x1 = int(np.ceil(pts[:, 0].max())) + margin
-    y1 = int(np.ceil(pts[:, 1].max())) + margin
+    x0 = int(np.floor(pts[:, 0].min()))
+    y0 = int(np.floor(pts[:, 1].min()))
+    x1 = int(np.ceil(pts[:, 0].max()))
+    y1 = int(np.ceil(pts[:, 1].max()))
     width, height = x1 - x0 + 1, y1 - y0 + 1
 
     cols, rows = np.meshgrid(np.arange(width), np.arange(height))
@@ -352,8 +347,8 @@ class WarpEngine:
     dWdp: np.ndarray
 
     @classmethod
-    def build(cls, model, margin=0):
-        frame, tri = build_reference_frame(model, margin=margin)
+    def build(cls, model):
+        frame, tri = build_reference_frame(model)
         dWdp = warp_jacobian_identity(model, frame, tri)
         return cls(model=model, frame=frame, tri=tri, dWdp=dWdp)
 

@@ -140,6 +140,23 @@ def bilinear_reference(image, positions):
             + v10 * (1 - fx) * fy + v11 * fx * fy)
 
 
+def similarity_lstsq(source, target):
+    """Least-squares similarity taking shape `source` onto `target`, as
+    the real 4-parameter problem target ~ D @ (p, q, tx, ty) with rows
+    [x, -y, 1, 0] and [y, x, 0, 1] per source landmark (x, y), solved by
+    `np.linalg.lstsq`.  Returns (p, q, tx, ty): scale times the cosine and
+    sine of the rotation, then the translation."""
+    pts = np.asarray(source, dtype=np.float64).reshape(-1, 2)
+    x, y = pts[:, 0], pts[:, 1]
+    one, zero = np.ones_like(x), np.zeros_like(x)
+    D = np.empty((2 * x.size, 4))
+    D[0::2] = np.column_stack([x, -y, one, zero])
+    D[1::2] = np.column_stack([y, x, zero, one])
+    params, *_ = np.linalg.lstsq(D, np.asarray(target, dtype=np.float64),
+                                 rcond=None)
+    return params
+
+
 def bilinear_vector(frame, coeffs_per_channel):
     """Evaluate bilinear fields on the masked pixels, channel-major."""
     x, y = frame.positions[:, 0], frame.positions[:, 1]

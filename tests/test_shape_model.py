@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 
 from aam_cgd.errors import (DegeneracyError, DimensionError,
                             InsufficientDataError)
-from aam_cgd.shape_model import (SimilarityTransform, align_similarity,
-                                 as_shape, build_shape_model, face_size,
+from aam_cgd.shape_model import (as_shape, build_shape_model, face_size,
                                  orthonormalize, pca, procrustes_align,
                                  project_shape, shape_instance,
                                  similarity_basis)
+
+from oracles import similarity_lstsq
 
 
 def random_shapes(rng, n_shapes=20, v=6, spread=0.1):
@@ -18,66 +19,81 @@ def random_shapes(rng, n_shapes=20, v=6, spread=0.1):
             for _ in range(n_shapes)]
 
 
-class TestSimilarityTransform:
-    def test_identity_apply(self):
-        s = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0])
-        t = SimilarityTransform.identity()
-        np.testing.assert_allclose(t.apply(s), s)
+def rotation(theta):
+    return np.array([[np.cos(theta), -np.sin(theta)],
+                     [np.sin(theta), np.cos(theta)]])
 
-    def test_inverse_roundtrip(self):
-        rng = np.random.default_rng(0)
-        theta = 0.7
-        t = SimilarityTransform(
-            scale=1.7,
-            rotation=np.array([[np.cos(theta), -np.sin(theta)],
-                               [np.sin(theta), np.cos(theta)]]),
-            translation=np.array([3.0, -2.0]))
-        s = rng.uniform(-1, 1, size=12)
-        np.testing.assert_allclose(t.inverse().apply(t.apply(s)), s,
-                                   atol=1e-12)
 
-    def test_rejects_reflection(self):
-        with pytest.raises(DimensionError):
-            SimilarityTransform(scale=1.0,
-                                rotation=np.array([[1.0, 0.0], [0.0, -1.0]]),
-                                translation=np.zeros(2))
+def similar(s, scale, theta, t):
+    """Shape s under x -> scale * R(theta) @ x + t."""
+    return (scale * s.reshape(-1, 2) @ rotation(theta).T + t).ravel()
+
+
+def apply_rows(sims, shapes):
+    """Each (p, q, tx, ty) row applied to its shape: x -> M x + t with
+    M = [[p, -q], [q, p]]."""
+    out = []
+    for (p, q, tx, ty), s in zip(sims, shapes):
+        M = np.array([[p, -q], [q, p]])
+        out.append((s.reshape(-1, 2) @ M.T + (tx, ty)).ravel())
+    return np.array(out)
 
 
 class TestProcrustes:
     def test_identical_inputs_give_identity_transforms(self):
         s = np.array([0.0, 0.0, 2.0, 0.0, 2.0, 2.0, 0.0, 2.0])
-        aligned, transforms, mean = procrustes_align([s] * 5)
-        # All transforms equal up to the global normalization of the mean.
-        scales = [t.scale for t in transforms]
-        angles = [t.angle for t in transforms]
-        np.testing.assert_allclose(scales, scales[0], rtol=1e-12)
-        np.testing.assert_allclose(angles, angles[0], atol=1e-12)
-        for a in aligned[1:]:
-            np.testing.assert_allclose(a, aligned[0], atol=1e-12)
+        aligned, sims, mean = procrustes_align([s] * 5)
+        # One similarity for all: the centroid and the centred norm, with
+        # no rotation, since the mean is the input normalized.
+        assert sims.shape == (5, 4)
+        np.testing.assert_allclose(sims, [[2.0 * np.sqrt(2.0), 0.0, 1.0,
+                                           1.0]] * 5, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(aligned, [mean] * 5, rtol=0, atol=1e-12)
 
     def test_two_shape_recovers_similarity(self):
-        # Closed-form oracle: the relative transform between the two
-        # recovered transforms must match the constructed similarity.
+        # Closed-form oracle: the relative similarity between the two
+        # recovered ones must match the constructed similarity.
         rng = np.random.default_rng(1)
         s1 = as_shape(rng.uniform(0, 1, size=16))
         theta = np.deg2rad(30.0)
-        R = np.array([[np.cos(theta), -np.sin(theta)],
-                      [np.sin(theta), np.cos(theta)]])
-        t_known = SimilarityTransform(scale=2.0, rotation=R,
-                                      translation=np.array([0.3, -0.4]))
-        s2 = t_known.apply(s1)
-        _, transforms, _ = procrustes_align([s1, s2])
-        rel_scale = transforms[1].scale / transforms[0].scale
-        rel_angle = transforms[1].angle - transforms[0].angle
-        assert abs(rel_scale - 2.0) < 1e-8
-        assert abs((rel_angle - theta + np.pi) % (2 * np.pi) - np.pi) < 1e-8
+        s2 = similar(s1, 2.0, theta, (0.3, -0.4))
+        _, sims, _ = procrustes_align([s1, s2])
+        a1, a2 = sims[:, 0] + 1j * sims[:, 1]
+        assert abs(a2 / a1 - 2.0 * np.exp(1j * theta)) < 2e-12
+
+    @pytest.mark.parametrize("v", [3, 68])
+    def test_matches_lstsq_oracle(self, rng, v):
+        # Every row is the least-squares similarity taking the mean onto
+        # its shape, and every aligned shape is its shape under that
+        # similarity's inverse, across all rotations and six decades of
+        # scale.  Translations are of the shape's own size.
+        n = 24
+        base = rng.uniform(-1, 1, size=2 * v)
+        angles = np.pi - 2.0 * np.pi * np.arange(n) / n   # (-pi, pi]
+        scales = rng.permutation(np.geomspace(1e-3, 1e3, n))
+        shapes = [similar(base + 0.05 * rng.standard_normal(2 * v), c, th,
+                          c * rng.uniform(-2, 2, size=2))
+                  for th, c in zip(angles, scales)]
+        aligned, sims, mean = procrustes_align(shapes)
+        for s, row, al in zip(shapes, sims, aligned):
+            ref = similarity_lstsq(mean, s)
+            np.testing.assert_allclose(row, ref, rtol=0,
+                                       atol=1e-12 * np.abs(ref).max())
+            p, q, tx, ty = ref
+            inv = ((s.reshape(-1, 2) - (tx, ty)) @ np.array([[p, -q], [q, p]])
+                   / (p * p + q * q)).ravel()
+            np.testing.assert_allclose(al, inv, rtol=0,
+                                       atol=1e-12 * np.abs(inv).max())
 
     def test_mean_stable_under_more_iterations(self):
+        # The mean is a fixed point: one more alignment step, which
+        # averages the aligned shapes, centres and normalizes, returns it.
         rng = np.random.default_rng(2)
-        shapes = random_shapes(rng)
-        _, _, mean_a = procrustes_align(shapes, max_iters=100)
-        _, _, mean_b = procrustes_align(shapes, max_iters=200)
-        np.testing.assert_allclose(mean_a, mean_b, atol=1e-8)
+        aligned, _, mean = procrustes_align(random_shapes(rng))
+        pts = np.mean(aligned, axis=0).reshape(-1, 2)
+        pts = pts - pts.mean(axis=0)
+        np.testing.assert_allclose(pts.ravel() / np.linalg.norm(pts), mean,
+                                   rtol=0, atol=1e-10)
 
     def test_mean_has_unit_norm_zero_centroid(self):
         rng = np.random.default_rng(3)
@@ -96,9 +112,9 @@ class TestProcrustes:
     def test_aligned_is_inverse_transform_of_input(self):
         rng = np.random.default_rng(5)
         shapes = random_shapes(rng)
-        aligned, transforms, _ = procrustes_align(shapes)
-        for s, t, a in zip(shapes, transforms, aligned):
-            np.testing.assert_allclose(t.inverse().apply(s), a, atol=1e-12)
+        aligned, sims, _ = procrustes_align(shapes)
+        np.testing.assert_allclose(apply_rows(sims, aligned), shapes,
+                                   rtol=0, atol=1e-12)
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(DimensionError):
@@ -163,6 +179,15 @@ class TestBuildShapeModel:
             model = build_shape_model(aligned, mean, n_components=50)
         assert model.n_nonrigid <= 3  # at most n_samples - 1
 
+    def test_coincident_mean_landmarks_rejected(self):
+        # The similarity columns of a one-point mean are linearly
+        # dependent: a typed error, not numpy's LinAlgError.
+        s = np.ones(8)
+        with pytest.raises(DegeneracyError):
+            build_shape_model([s, s], s)
+        with pytest.raises(DegeneracyError):
+            similarity_basis(s)
+
     def test_too_few_shapes_rejected(self):
         with pytest.raises(InsufficientDataError):
             build_shape_model([np.zeros(6)], np.zeros(6))
@@ -221,6 +246,12 @@ class TestBasisOrientation:
         q = orthonormalize(C)
         np.testing.assert_allclose(q.T @ q, np.eye(8), atol=1e-14)
         assert_oriented_and_nested(q, C)
+
+    def test_orthonormalize_dependent_columns(self, rng):
+        C = rng.standard_normal((10, 3))
+        C[:, 1] = 0.0
+        with pytest.raises(DegeneracyError):
+            orthonormalize(C)
 
     @pytest.mark.parametrize("scale", [1e-3, 1e5])
     def test_similarity_basis(self, rng, scale):
@@ -320,3 +351,7 @@ class TestFaceSize:
     def test_degenerate(self):
         with pytest.raises(DegeneracyError):
             face_size(np.zeros(6))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(DimensionError):
+            face_size([0.0, 0.0, 1.0, np.nan, 2.0, 2.0])
