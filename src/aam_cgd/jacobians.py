@@ -2,12 +2,20 @@
 images, Gauss-Newton Hessians and the second-order blocks used by Newton
 steps.
 
-The image gradient is a fixed sparse linear map per reference frame
-(`ReferenceFrame.diff_x`/`diff_y`): central differences on the masked
-grid, one-sided differences where only one neighbour is masked and zero
-where the pixel is isolated.  Second derivatives apply the same operator
-twice.  The Newton cross block J_{a_j}^T r of every appearance column
-uses the operator's adjoint, so no per-column gradient is formed.
+The image gradient is a fixed sparse linear map per reference frame,
+`ReferenceFrame.diff`: a (2F, F) difference operator D whose row 2f + a
+differentiates along axis a (0 = x, 1 = y) at pixel f, central on the
+masked grid, one-sided where only one neighbour is masked and zero where
+the pixel is isolated.  Its rows are interleaved as the rows of the
+copy-free (2F, P) view dW of the (F, 2, P) warp Jacobian, so:
+
+- the gradient of all k channels is one product with D, and the four
+  second derivatives are two;
+- the Newton cross block J_{a_j}^T r of every appearance column goes
+  through the adjoint image D^T diag(r) dW of `_adjoint_image`, one
+  sparse product for all channels, so no per-column gradient is formed;
+- the residual-weighted curvature is one GEMM dW^T (W dW), with W the
+  per-pixel 2 x 2 second-derivative weights (`residual_curvature`).
 
 Project-out (PO) and Bayesian project-out (BPO) Hessians are factored
 through the m x P product B = A^T J: J^T J - B^T B for PO and
@@ -18,31 +26,41 @@ projected (k F, P) copy of J is built.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .appearance import AppearanceModel, BpoOperator
 from .errors import DimensionError
 
 
 def image_gradient(v, frame):
-    """Per-channel spatial gradient of a channel-major frame vector: the
-    frame's difference operators applied to each channel.
+    """Per-channel spatial gradient of a channel-major frame vector: one
+    product with the frame's difference operator.
 
     Returns (grad_x, grad_y), each of length F * k.
     """
+    g = _difference(v, frame)                             # (2F, k)
+    return tuple(g.reshape(frame.n_pixels, 2, -1).transpose(1, 2, 0)
+                 .reshape(2, -1))
+
+
+def second_gradient(v, frame):
+    """Second derivatives (xx, xy, yx, yy) by differencing twice, with
+    xy = Dy Dx v and yx = Dx Dy v: two products with the operator."""
+    F = frame.n_pixels
+    g = _difference(v, frame).reshape(F, -1)    # row f: (gx, gy) x channel
+    gg = frame.diff @ g                         # row 2f + b, column a k + c
+    return tuple(gg.reshape(F, 2, 2, -1).transpose(2, 1, 3, 0)
+                 .reshape(4, -1))
+
+
+def _difference(v, frame):
+    """(2F, k) product of the difference operator with the k channels of
+    a channel-major frame vector: row 2f + a, column c."""
     v = np.asarray(v, dtype=np.float64).ravel()
     F = frame.n_pixels
     if v.size % F != 0:
         raise DimensionError("vector length is not a multiple of F")
-    vals = v.reshape(-1, F).T
-    return (frame.diff_x @ vals).T.ravel(), (frame.diff_y @ vals).T.ravel()
-
-
-def second_gradient(v, frame):
-    """Second derivatives (xx, xy, yx, yy) by repeated differencing."""
-    gx, gy = image_gradient(v, frame)
-    gxx, gxy = image_gradient(gx, frame)
-    gyx, gyy = image_gradient(gy, frame)
-    return gxx, gxy, gyx, gyy
+    return frame.diff @ v.reshape(-1, F).T
 
 
 def steepest_descent(grad_x, grad_y, warp_jac, active=None):
@@ -73,6 +91,7 @@ def blend_gradients(grad_image, grad_model, alpha):
     return gx, gy
 
 
+@np.errstate(invalid="ignore", over="ignore")   # see the check at the end
 def gn_hessian(J, projector=None):
     """Gauss-Newton Hessian J^T M J of a (k F, P) Jacobian.
 
@@ -84,8 +103,6 @@ def gn_hessian(J, projector=None):
         BPO: w J^T J + B^T diag(rho / d - w) B
     """
     J = np.asarray(J, dtype=np.float64)
-    if not np.all(np.isfinite(J)):
-        raise DimensionError("Jacobian contains non-finite entries")
     H = J.T @ J
     if projector is not None:
         if isinstance(projector, AppearanceModel):
@@ -100,30 +117,37 @@ def gn_hessian(J, projector=None):
             raise DimensionError("Jacobian rows do not match the model")
         B = (J.T @ model.basis).T      # faster on the C-ordered basis
         H = w * H + B.T @ (v * B)
-    return 0.5 * (H + H.T)
+    H = 0.5 * (H + H.T)
+    # A non-finite entry of J makes its column's diagonal of J^T J, and so
+    # of H, non-finite: checking the P x P result spares a pass over J.
+    if not np.all(np.isfinite(H)):
+        raise DimensionError("Jacobian contains non-finite entries")
+    return H
 
 
 def residual_curvature(second, warp_jac, weighted_residual, active=None):
-    """Residual-weighted curvature sum_f w_f dW^T grad2 dW.
+    """Residual-weighted curvature sum_f dW_f^T W_f dW_f, one GEMM.
 
     `second` is the (xx, xy, yx, yy) tuple from second_gradient over the
     full frame; `weighted_residual` is channel-major over the ACTIVE
-    pixels (already carrying any project-out weighting).  Cross terms are
-    symmetrized.
+    pixels (already carrying any project-out weighting).  W_f is the
+    2 x 2 sum over channels of the residual times the second derivatives,
+    cross terms symmetrized; over the (2F, P) view dW of `warp_jac` the
+    sum is dW^T (W dW).
     """
-    F = warp_jac.shape[0]
-    comps = [np.asarray(g, dtype=np.float64).reshape(-1, F) for g in second]
+    F, _, P = warp_jac.shape
+    xx, xy, yx, yy = (np.asarray(g, dtype=np.float64).reshape(-1, F)
+                      for g in second)
     if active is not None:
-        comps = [g[:, active] for g in comps]
+        xx, xy, yx, yy = (g[:, active] for g in (xx, xy, yx, yy))
         warp_jac = warp_jac[active]
-    r = np.asarray(weighted_residual, dtype=np.float64).reshape(
-        -1, warp_jac.shape[0])
-    wxx = np.einsum("cf,cf->f", r, comps[0])[:, None]
-    wxy = np.einsum("cf,cf->f", r, 0.5 * (comps[1] + comps[2]))[:, None]
-    wyy = np.einsum("cf,cf->f", r, comps[3])[:, None]
-    dx = warp_jac[:, 0, :]
-    dy = warp_jac[:, 1, :]
-    H = dx.T @ (wxx * dx + wxy * dy) + dy.T @ (wxy * dx + wyy * dy)
+    n = warp_jac.shape[0]
+    r = np.asarray(weighted_residual, dtype=np.float64).reshape(-1, n)
+    W = np.empty((n, 2, 2))
+    W[:, 0, 0] = np.einsum("cf,cf->f", r, xx)
+    W[:, 0, 1] = W[:, 1, 0] = np.einsum("cf,cf->f", r, 0.5 * (xy + yx))
+    W[:, 1, 1] = np.einsum("cf,cf->f", r, yy)
+    H = warp_jac.reshape(-1, P).T @ (W @ warp_jac).reshape(-1, P)
     return 0.5 * (H + H.T)
 
 
@@ -133,7 +157,7 @@ def basis_gradient_stack(appearance, frame, warp_jac, residual, active=None):
     Returns (m, P): the derivative of each basis column's warped value
     contracted with the residual, used by the Newton cross blocks.  It is
     A^T U with U the adjoint image of `_adjoint_image`, so the m columns
-    cost two sparse adjoint products and one GEMM.
+    cost one sparse product and one GEMM.
     """
     U = _adjoint_image(frame, warp_jac, residual, active)
     return (U.T @ appearance.basis).T      # faster on the C-ordered basis
@@ -142,17 +166,25 @@ def basis_gradient_stack(appearance, frame, warp_jac, residual, active=None):
 def _adjoint_image(frame, warp_jac, residual, active):
     """(k F, P) image U with a_j . U = J_{a_j}^T r for any column a_j.
 
-    With D the frame's difference operators,
-    U[:, p] = Dx^T (r * dW_x[:, p]) + Dy^T (r * dW_y[:, p]) per channel.
-    A residual over `active` pixels enters as zero on the other pixels.
+    With D the frame's (2F, F) difference operator and dW the (2F, P)
+    view of `warp_jac`, channel c of U is D^T diag(r_c) dW, r_c repeated
+    on the two rows of each pixel: D^T with each stored value scaled by
+    the residual at its row's pixel.  The k scaled copies of D^T stacked
+    in one CSR matrix give the channel-major U in one product.  A
+    residual over `active` pixels enters as zero on the other pixels.
     """
     F, _, P = warp_jac.shape
     r = _to_frame(residual, F, active).reshape(-1, F)
     k = r.shape[0]
-    rt = r.T[:, :, None]                                  # (F, k, 1)
-    U = (frame.diff_x.T @ (rt * warp_jac[:, None, 0, :]).reshape(F, -1)
-         + frame.diff_y.T @ (rt * warp_jac[:, None, 1, :]).reshape(F, -1))
-    return U.reshape(F, k, P).transpose(1, 0, 2).reshape(k * F, P)
+    Dt = frame.diff.T.tocsr()                             # (F, 2F)
+    nnz = Dt.nnz
+    data = np.take(r, Dt.indices // 2, axis=1)            # (k, nnz)
+    data *= Dt.data
+    indptr = np.append((Dt.indptr[:-1] + nnz * np.arange(k)[:, None])
+                       .ravel(), k * nnz)
+    S = csr_matrix((data.ravel(), np.tile(Dt.indices, k), indptr),
+                   shape=(k * F, 2 * F))
+    return S @ warp_jac.reshape(2 * F, P)
 
 
 def _to_frame(x, F, active):
@@ -209,14 +241,15 @@ def newton_terms_asymmetric(appearance, frame, warp_jac, residual,
     +beta J_A^T r (signs fixed by the finite-difference Hessian oracle).
     """
     beta = 1.0 - alpha
-    U = _adjoint_image(frame, warp_jac, residual, active)
-    X = beta * U - _to_frame(J_t, frame.n_pixels, active)
+    X = _adjoint_image(frame, warp_jac,
+                       beta * np.asarray(residual, dtype=np.float64), active)
+    X -= _to_frame(J_t, frame.n_pixels, active)
     cp = (X.T @ appearance.basis).T
-    curv_i = residual_curvature(grad2_image, warp_jac, residual,
-                                active=active)
-    curv_m = residual_curvature(grad2_model, warp_jac, residual,
-                                active=active)
-    pp = J_t.T @ J_t + alpha ** 2 * curv_i - beta ** 2 * curv_m
+    # The curvature is linear in the second derivatives: one pass.
+    second = [alpha ** 2 * gi - beta ** 2 * gm
+              for gi, gm in zip(grad2_image, grad2_model)]
+    pp = J_t.T @ J_t + residual_curvature(second, warp_jac, residual,
+                                          active=active)
     return NewtonTerms(cc=_appearance_block(appearance, frame, active),
                        cp=cp, pp=0.5 * (pp + pp.T))
 

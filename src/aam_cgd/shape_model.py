@@ -18,6 +18,7 @@ N_SIMILARITY = 4
 
 PROCRUSTES_MAX_ITERS = 100
 PROCRUSTES_TOL = 1e-10
+PIVOT_TOL = 1e-6      # orthonormalize: smallest pivot / column norm
 
 
 def as_shape(points):
@@ -202,14 +203,22 @@ def orthonormalize(C):
 
     Column j of Q lies in the span of C's first j columns and has a
     positive inner product with C[:, j] (L has a positive diagonal), so
-    the columns keep their order and orientation.  Linearly dependent
-    columns raise `DegeneracyError`.
+    the columns keep their order and orientation.  L[j, j] is the norm of
+    the part of C[:, j] outside the span of the columns before it.
+    Linearly dependent columns raise `DegeneracyError`: Cholesky either
+    fails on them or leaves a round-off pivot, about sqrt(eps) = 1.5e-8
+    of the column's norm, which `PIVOT_TOL` rejects.
     """
+    gram = C.T @ C
     try:
-        L = np.linalg.cholesky(C.T @ C)
+        L = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
+        dependent = True
+    else:
+        dependent = np.any(np.diag(L) <= PIVOT_TOL * np.sqrt(np.diag(gram)))
+    if dependent:
         raise DegeneracyError("cannot orthonormalize linearly dependent "
-                              "columns") from None
+                              "columns")
     return C @ np.linalg.inv(L).T
 
 

@@ -42,8 +42,8 @@ class ReferenceFrame:
     index_grid: np.ndarray   # (height, width) dense index or -1
     positions: np.ndarray    # (F, 2) masked pixel positions, mean coords
     neighbors: np.ndarray    # (F, 4) dense index of -x, +x, -y, +y or -1
-    diff_x: csr_matrix       # (F, F) first difference along x
-    diff_y: csr_matrix       # (F, F) first difference along y
+    diff: csr_matrix         # (2F, F) row 2f + a: derivative along axis a
+                             # (0 = x, 1 = y) at pixel f
 
     @property
     def n_pixels(self):
@@ -126,20 +126,24 @@ def rasterize_barycentric(vertices, triangles, queries):
     return tri_id, bary
 
 
-def _difference_operator(minus, plus):
-    """Sparse first difference along one axis from the dense neighbour
-    indices (-1 outside the mask): central where both neighbours are
-    masked, one-sided where one is, zero where the pixel is isolated."""
-    F = minus.size
-    idx = np.arange(F)
+def _difference_operator(neighbors):
+    """Sparse (2F, F) first difference on interleaved rows from the dense
+    neighbour table (-x, +x, -y, +y; -1 outside the mask): row 2f + a
+    differentiates along axis a (0 = x, 1 = y) at pixel f, central where
+    both neighbours are masked, one-sided where one is, and empty where
+    the pixel has neither."""
+    F = neighbors.shape[0]
+    minus, plus = neighbors[:, 0::2], neighbors[:, 1::2]     # (F, 2)
+    own = np.arange(F)[:, None]
     has_m, has_p = minus >= 0, plus >= 0
-    keep = has_m | has_p
-    w = np.where(has_m & has_p, 0.5, 1.0)[keep]
-    lo = np.where(has_m, minus, idx)[keep]
-    hi = np.where(has_p, plus, idx)[keep]
-    rows = np.concatenate([idx[keep], idx[keep]])
+    keep = (has_m | has_p).ravel()
+    w = np.where(has_m & has_p, 0.5, 1.0).ravel()[keep]
+    lo = np.where(has_m, minus, own).ravel()[keep]
+    hi = np.where(has_p, plus, own).ravel()[keep]
+    rows = np.arange(2 * F)[keep]
     return csr_matrix((np.concatenate([-w, w]),
-                       (rows, np.concatenate([lo, hi]))), shape=(F, F))
+                       (np.concatenate([rows, rows]),
+                        np.concatenate([lo, hi]))), shape=(2 * F, F))
 
 
 def build_reference_frame(model):
@@ -202,8 +206,7 @@ def build_reference_frame(model):
     frame = ReferenceFrame(
         width=width, height=height, origin=origin, mask=mask,
         index_grid=index_grid, positions=positions, neighbors=neighbors,
-        diff_x=_difference_operator(neighbors[:, 0], neighbors[:, 1]),
-        diff_y=_difference_operator(neighbors[:, 2], neighbors[:, 3]))
+        diff=_difference_operator(neighbors))
     tri = Triangulation(triangles=triangles, interp=interp)
     return frame.validate(), tri.validate()
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -84,13 +86,28 @@ class TestImageGradient:
         np.testing.assert_array_equal(gx, ox)
         np.testing.assert_array_equal(gy, oy)
 
+    @pytest.mark.parametrize("which", ["diamond", "toy"])
+    def test_second_gradient_order(self, toy_engine, rng, which):
+        """xy = Dy Dx v and yx = Dx Dy v.  Near the mask's edge one-sided
+        differences do not commute, so the two differ and a swap shows;
+        `residual_curvature` symmetrizes them, so nothing after would."""
+        frame = diamond_frame() if which == "diamond" else toy_engine.frame
+        v = rng.standard_normal(3 * frame.n_pixels)
+        gx, gy = image_gradient(v, frame)
+        xx, xy, yx, yy = second_gradient(v, frame)
+        for got, ref in ((xx, image_gradient(gx, frame)[0]),
+                         (xy, image_gradient(gx, frame)[1]),
+                         (yx, image_gradient(gy, frame)[0]),
+                         (yy, image_gradient(gy, frame)[1])):
+            np.testing.assert_array_equal(got, ref)
+        assert not np.allclose(xy, yx)
+
     def test_difference_operators_adjoint(self, rng):
         frame = diamond_frame()
         v = rng.standard_normal(frame.n_pixels)
-        u = rng.standard_normal(frame.n_pixels)
-        for g, D in zip(image_gradient(v, frame),
-                        (frame.diff_x, frame.diff_y)):
-            np.testing.assert_allclose(g @ u, v @ (D.T @ u), rtol=1e-12)
+        u = rng.standard_normal(2 * frame.n_pixels)
+        g = np.column_stack(image_gradient(v, frame)).ravel()  # row 2f + a
+        np.testing.assert_allclose(g @ u, v @ (frame.diff.T @ u), rtol=1e-12)
 
 
 class TestSteepestDescent:
@@ -222,6 +239,22 @@ class TestGnHessian:
         weight = app if rho is None else BpoOperator(app, rho=rho)
         with pytest.raises(DimensionError):
             gn_hessian(rng.standard_normal((49, 5)), weight)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("rho", [None, "po", 0.0, 0.5, 1.0])
+def test_gn_hessian_rejects_non_finite_jacobian(rng, rho, bad):
+    """One non-finite entry of J, under every weight; rho = 1 gives
+    J^T J the weight 0.  No numpy warning escapes."""
+    app = _orthonormal_appearance(rng, dim=50, m=3)
+    weight = (None if rho is None else app if rho == "po"
+              else BpoOperator(app, rho=rho))
+    J = rng.standard_normal((50, 5))
+    J[rng.integers(50), rng.integers(5)] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionError, match="non-finite"):
+            gn_hessian(J, weight)
 
 
 def _orthonormal_appearance(rng, dim, m):
@@ -400,6 +433,32 @@ class TestNewtonBlocksMatchDefinitions:
                                   active=active)
         np.testing.assert_allclose(got, ref, rtol=1e-12,
                                    atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("subset", [False, True])
+    def test_asymmetric_blocks(self, setup, rng, subset):
+        """cp and pp of `newton_terms_asymmetric` by definition.  At
+        alpha = 0.3 the curvature weights alpha^2 and beta^2 differ, so
+        swapping the image and model sides fails; at 0.5 it would not."""
+        engine, app, active = setup
+        active = active if subset else None
+        frame, dW = engine.frame, engine.dWdp
+        alpha, beta = 0.3, 0.7
+        s_i = second_gradient(rng.standard_normal(app.n_features), frame)
+        s_m = second_gradient(rng.standard_normal(app.n_features), frame)
+        r = self._residual(rng, engine, app, active)
+        J_t = rng.standard_normal((r.size, dW.shape[2]))
+        terms = newton_terms_asymmetric(app, frame, dW, r, s_i, s_m, J_t,
+                                        alpha, active=active)
+        rows = (np.arange(app.n_features) if active is None
+                else active_rows(frame, active, 3))
+        cp = (beta * basis_gradient_loop(app, frame, dW, r, active=active)
+              - app.basis[rows].T @ J_t)
+        pp = (J_t.T @ J_t
+              + alpha ** 2 * residual_curvature_sum(s_i, dW, r, active)
+              - beta ** 2 * residual_curvature_sum(s_m, dW, r, active))
+        for got, ref in ((terms.cp, cp), (terms.pp, pp)):
+            np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref).max())
 
     @pytest.mark.parametrize("subset", [False, True])
     def test_residual_curvature(self, setup, rng, subset):

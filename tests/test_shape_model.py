@@ -253,6 +253,15 @@ class TestBasisOrientation:
         with pytest.raises(DegeneracyError):
             orthonormalize(C)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_orthonormalize_round_off_pivot(self, seed):
+        """The second column is exactly dependent on the first.  Cholesky
+        fails on some seeds and leaves a positive round-off pivot on
+        others; both must raise."""
+        c, r = np.random.default_rng(seed).standard_normal((2, 10))
+        with pytest.raises(DegeneracyError):
+            orthonormalize(np.column_stack([c, 3 * c + 1e-17, r]))
+
     @pytest.mark.parametrize("scale", [1e-3, 1e5])
     def test_similarity_basis(self, rng, scale):
         mean = scale * rng.uniform(-1, 1, size=14)
