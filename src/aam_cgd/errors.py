@@ -14,7 +14,7 @@ class DegeneracyError(AamCgdError):
 
 
 class InsufficientDataError(AamCgdError):
-    """Not enough samples / active pixels to perform the operation."""
+    """Not enough samples to perform the operation."""
 
 
 class ConfigError(AamCgdError):

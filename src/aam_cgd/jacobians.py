@@ -56,29 +56,28 @@ def second_gradient(v, frame):
 def _difference(v, frame):
     """(2F, k) product of the difference operator with the k channels of
     a channel-major frame vector: row 2f + a, column c."""
+    return frame.diff @ _channels(v, frame.n_pixels).T
+
+
+def _channels(v, F):
+    """(k, F) view of a channel-major frame vector of length k F."""
     v = np.asarray(v, dtype=np.float64).ravel()
-    F = frame.n_pixels
     if v.size % F != 0:
         raise DimensionError("vector length is not a multiple of F")
-    return frame.diff @ v.reshape(-1, F).T
+    return v.reshape(-1, F)
 
 
-def steepest_descent(grad_x, grad_y, warp_jac, active=None):
+def steepest_descent(grad_x, grad_y, warp_jac):
     """Contract an image gradient with the warp Jacobian.
 
     grad_x/grad_y: (F * k,) channel-major; warp_jac: (F, 2, P).
-    `active` optionally selects a pixel subset (indices into 0..F-1).
-    Returns (F_active * k, P): per channel c and pixel f the row
+    Returns (F * k, P): per channel c and pixel f the row
     [gx, gy]_{c,f} @ warp_jac[f], one batched (1, 2) @ (2, P) product.
     """
     F = warp_jac.shape[0]
-    gx = np.asarray(grad_x, dtype=np.float64).reshape(-1, F)
-    gy = np.asarray(grad_y, dtype=np.float64).reshape(-1, F)
+    gx, gy = _channels(grad_x, F), _channels(grad_y, F)
     if gx.shape != gy.shape:
         raise DimensionError("gradient components disagree in shape")
-    if active is not None:
-        gx, gy = gx[:, active], gy[:, active]
-        warp_jac = warp_jac[active]
     g = np.stack([gx, gy], axis=-1)[:, :, None, :]       # (k, F, 1, 2)
     return np.matmul(g, warp_jac).reshape(-1, warp_jac.shape[-1])
 
@@ -125,25 +124,22 @@ def gn_hessian(J, projector=None):
     return H
 
 
-def residual_curvature(second, warp_jac, weighted_residual, active=None):
+def residual_curvature(second, warp_jac, weighted_residual):
     """Residual-weighted curvature sum_f dW_f^T W_f dW_f, one GEMM.
 
-    `second` is the (xx, xy, yx, yy) tuple from second_gradient over the
-    full frame; `weighted_residual` is channel-major over the ACTIVE
-    pixels (already carrying any project-out weighting).  W_f is the
-    2 x 2 sum over channels of the residual times the second derivatives,
-    cross terms symmetrized; over the (2F, P) view dW of `warp_jac` the
-    sum is dW^T (W dW).
+    `second` is the (xx, xy, yx, yy) tuple from second_gradient;
+    `weighted_residual` is channel-major (already carrying any
+    project-out weighting).  W_f is the 2 x 2 sum over channels of the
+    residual times the second derivatives, cross terms symmetrized; over
+    the (2F, P) view dW of `warp_jac` the sum is dW^T (W dW).
     """
     F, _, P = warp_jac.shape
-    xx, xy, yx, yy = (np.asarray(g, dtype=np.float64).reshape(-1, F)
-                      for g in second)
-    if active is not None:
-        xx, xy, yx, yy = (g[:, active] for g in (xx, xy, yx, yy))
-        warp_jac = warp_jac[active]
-    n = warp_jac.shape[0]
-    r = np.asarray(weighted_residual, dtype=np.float64).reshape(-1, n)
-    W = np.empty((n, 2, 2))
+    xx, xy, yx, yy = (_channels(g, F) for g in second)
+    r = _channels(weighted_residual, F)
+    if r.shape != xx.shape:      # einsum would broadcast a single channel
+        raise DimensionError("residual and second derivatives disagree "
+                             "in channels")
+    W = np.empty((F, 2, 2))
     W[:, 0, 0] = np.einsum("cf,cf->f", r, xx)
     W[:, 0, 1] = W[:, 1, 0] = np.einsum("cf,cf->f", r, 0.5 * (xy + yx))
     W[:, 1, 1] = np.einsum("cf,cf->f", r, yy)
@@ -151,7 +147,7 @@ def residual_curvature(second, warp_jac, weighted_residual, active=None):
     return 0.5 * (H + H.T)
 
 
-def basis_gradient_stack(appearance, frame, warp_jac, residual, active=None):
+def basis_gradient_stack(appearance, frame, warp_jac, residual):
     """Rows J_{a_j}^T r for every appearance basis column a_j.
 
     Returns (m, P): the derivative of each basis column's warped value
@@ -159,22 +155,21 @@ def basis_gradient_stack(appearance, frame, warp_jac, residual, active=None):
     A^T U with U the adjoint image of `_adjoint_image`, so the m columns
     cost one sparse product and one GEMM.
     """
-    U = _adjoint_image(frame, warp_jac, residual, active)
+    U = _adjoint_image(frame, warp_jac, residual)
     return (U.T @ appearance.basis).T      # faster on the C-ordered basis
 
 
-def _adjoint_image(frame, warp_jac, residual, active):
+def _adjoint_image(frame, warp_jac, residual):
     """(k F, P) image U with a_j . U = J_{a_j}^T r for any column a_j.
 
     With D the frame's (2F, F) difference operator and dW the (2F, P)
     view of `warp_jac`, channel c of U is D^T diag(r_c) dW, r_c repeated
     on the two rows of each pixel: D^T with each stored value scaled by
     the residual at its row's pixel.  The k scaled copies of D^T stacked
-    in one CSR matrix give the channel-major U in one product.  A
-    residual over `active` pixels enters as zero on the other pixels.
+    in one CSR matrix give the channel-major U in one product.
     """
     F, _, P = warp_jac.shape
-    r = _to_frame(residual, F, active).reshape(-1, F)
+    r = _channels(residual, F)
     k = r.shape[0]
     Dt = frame.diff.T.tocsr()                             # (F, 2F)
     nnz = Dt.nnz
@@ -187,27 +182,14 @@ def _adjoint_image(frame, warp_jac, residual, active):
     return S @ warp_jac.reshape(2 * F, P)
 
 
-def _to_frame(x, F, active):
-    """Channel-major rows over the `active` pixels placed among zero rows
-    for the other pixels of the frame; `x` itself when `active` is None."""
-    x = np.asarray(x, dtype=np.float64)
-    if active is None:
-        return x
-    x = x.reshape((-1, len(active)) + x.shape[1:])
-    full = np.zeros((x.shape[0], F) + x.shape[2:])
-    full[:, active] = x
-    return full.reshape((-1,) + x.shape[2:])
-
-
 @dataclass(frozen=True)
 class NewtonTerms:
     """Hessian blocks of the sum-of-squares data term.
 
     Asymmetric composition uses (cc, cp, pp); bidirectional additionally
-    fills (cq, pq, qq).  Block `cc` is A_act^T A_act over the active rows
-    of the appearance basis.  On the full frame (`active` None) it is set
-    to the identity, which `AppearanceModel.validate` guarantees the basis
-    Gram matrix to be to 1e-10; on a pixel subset it is computed.
+    fills (cq, pq, qq).  Block `cc` = A^T A is the identity, which
+    `AppearanceModel.validate` guarantees the basis Gram matrix to be to
+    1e-10.
     """
 
     cc: np.ndarray
@@ -231,8 +213,7 @@ class NewtonTerms:
 
 
 def newton_terms_asymmetric(appearance, frame, warp_jac, residual,
-                            grad2_image, grad2_model, J_t, alpha,
-                            active=None):
+                            grad2_image, grad2_model, J_t, alpha):
     """Second-order blocks for the alpha-blended composition.
 
     The image side moves with alpha * dp and the model side with
@@ -242,45 +223,27 @@ def newton_terms_asymmetric(appearance, frame, warp_jac, residual,
     """
     beta = 1.0 - alpha
     X = _adjoint_image(frame, warp_jac,
-                       beta * np.asarray(residual, dtype=np.float64), active)
-    X -= _to_frame(J_t, frame.n_pixels, active)
+                       beta * np.asarray(residual, dtype=np.float64))
+    X -= J_t
     cp = (X.T @ appearance.basis).T
     # The curvature is linear in the second derivatives: one pass.
     second = [alpha ** 2 * gi - beta ** 2 * gm
               for gi, gm in zip(grad2_image, grad2_model)]
-    pp = J_t.T @ J_t + residual_curvature(second, warp_jac, residual,
-                                          active=active)
-    return NewtonTerms(cc=_appearance_block(appearance, frame, active),
-                       cp=cp, pp=0.5 * (pp + pp.T))
+    pp = J_t.T @ J_t + residual_curvature(second, warp_jac, residual)
+    return NewtonTerms(cc=np.eye(appearance.n_components), cp=cp,
+                       pp=0.5 * (pp + pp.T))
 
 
 def newton_terms_bidirectional(appearance, frame, warp_jac, residual,
-                               grad2_image, grad2_model, J_i, J_a,
-                               active=None):
+                               grad2_image, grad2_model, J_i, J_a):
     """Second-order blocks for independent image/model increments."""
-    F, P = frame.n_pixels, J_i.shape[1]
-    U = _adjoint_image(frame, warp_jac, residual, active)
-    X = np.hstack([_to_frame(J_i, F, active), _to_frame(J_a, F, active) - U])
-    cross = (X.T @ appearance.basis).T
+    P = J_i.shape[1]
+    U = _adjoint_image(frame, warp_jac, residual)
+    cross = (np.hstack([J_i, J_a - U]).T @ appearance.basis).T
     cp, cq = -cross[:, :P], cross[:, P:]
-    curv_i = residual_curvature(grad2_image, warp_jac, residual,
-                                active=active)
-    curv_m = residual_curvature(grad2_model, warp_jac, residual,
-                                active=active)
-    pp = J_i.T @ J_i + curv_i
-    qq = J_a.T @ J_a - curv_m
+    pp = J_i.T @ J_i + residual_curvature(grad2_image, warp_jac, residual)
+    qq = J_a.T @ J_a - residual_curvature(grad2_model, warp_jac, residual)
     pq = -J_i.T @ J_a
-    return NewtonTerms(cc=_appearance_block(appearance, frame, active),
-                       cp=cp, pp=0.5 * (pp + pp.T), cq=cq, pq=pq,
+    return NewtonTerms(cc=np.eye(appearance.n_components), cp=cp,
+                       pp=0.5 * (pp + pp.T), cq=cq, pq=pq,
                        qq=0.5 * (qq + qq.T))
-
-
-def _appearance_block(appearance, frame, active):
-    """Block cc = A_act^T A_act: the identity on the full frame, where
-    the basis is orthonormal, computed on a pixel subset."""
-    m = appearance.n_components
-    if active is None:
-        return np.eye(m)
-    A_act = appearance.basis.reshape(-1, frame.n_pixels, m)[:, active]
-    A_act = A_act.reshape(-1, m)
-    return A_act.T @ A_act

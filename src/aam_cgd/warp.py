@@ -359,12 +359,6 @@ class WarpEngine:
     def n_pixels(self):
         return self.frame.n_pixels
 
-    def warp(self, image, shape):
-        return warp_to_reference(image, shape, self.frame, self.tri)
-
-    def compose(self, p, dp):
-        return compose(self.model, self.tri, p, dp)
-
     def increment_positions(self, dp):
         """Positions W(x; dp) of the masked pixels under an incremental
         warp, in mean coordinates."""

@@ -1,19 +1,19 @@
 """Independent oracles used across the test suite.
 
-The cost oracles evaluate data terms by actually resampling reference-frame
-images under incremental warps; they never touch the analytic Jacobian
-code.  The gradient and Newton-block oracles spell the library's fast
-forms out by definition: neighbour by neighbour, column by column, pixel
-by pixel.  Test images are bilinear fields (a + b x + c y + d x y), which
-bilinear interpolation and grid central differences both reproduce
-exactly, so analytic and finite-difference quantities must agree to
-machine precision on interior pixels.
+The cost oracles evaluate data terms at the positions an incremental warp
+moves the pixels to; they never touch the analytic Jacobian code.  The
+gradient and Newton-block oracles spell the library's fast forms out by
+definition: neighbour by neighbour, column by column, pixel by pixel.
+Test images are bilinear fields (a + b x + c y + d x y), which bilinear
+interpolation and grid differences both reproduce exactly wherever a
+pixel has a neighbour along each axis, so analytic and finite-difference
+quantities must agree to machine precision on every pixel of such a
+frame, its border included.
 """
 
 import numpy as np
 
 from aam_cgd.appearance import AppearanceModel, appearance_instance
-from aam_cgd.warp import sample_frame_image
 
 
 def interior_pixels(frame, radius=1):
@@ -30,12 +30,6 @@ def interior_pixels(frame, radius=1):
                     max(0, dc):mask.shape[1] - max(0, -dc)] = src
             ok &= shifted
     return frame.index_grid[ok & mask]
-
-
-def active_rows(frame, active, n_channels):
-    F = frame.n_pixels
-    return np.concatenate([np.asarray(active) + ch * F
-                           for ch in range(n_channels)])
 
 
 def directional_diff(vals, minus, plus):
@@ -64,53 +58,48 @@ def neighbour_gradient(v, frame):
             directional_diff(vals, nb[:, 2], nb[:, 3]).ravel())
 
 
-def steepest_descent_loop(grad_x, grad_y, warp_jac, active=None):
+def steepest_descent_loop(grad_x, grad_y, warp_jac):
     """Steepest-descent images one channel and one pixel at a time:
     row (c, f) is gx[c, f] * dW[f, 0, :] + gy[c, f] * dW[f, 1, :]."""
     F, _, P = warp_jac.shape
     gx = np.asarray(grad_x, dtype=np.float64).reshape(-1, F)
     gy = np.asarray(grad_y, dtype=np.float64).reshape(-1, F)
-    pixels = np.arange(F) if active is None else np.asarray(active)
-    J = np.zeros((gx.shape[0] * pixels.size, P))
+    J = np.zeros((gx.shape[0] * F, P))
     row = 0
     for c in range(gx.shape[0]):
-        for f in pixels:
+        for f in range(F):
             J[row] = (gx[c, f] * warp_jac[f, 0, :]
                       + gy[c, f] * warp_jac[f, 1, :])
             row += 1
     return J
 
 
-def basis_gradient_loop(appearance, frame, warp_jac, residual, active=None):
+def basis_gradient_loop(appearance, frame, warp_jac, residual):
     """J_{a_j}^T r by definition: per basis column, its image gradient,
-    its steepest-descent images on the active pixels, then J_j^T r."""
+    its steepest-descent images, then J_j^T r."""
     out = np.zeros((appearance.n_components, warp_jac.shape[2]))
     for j in range(appearance.n_components):
         gx, gy = neighbour_gradient(appearance.basis[:, j], frame)
-        Jj = steepest_descent_loop(gx, gy, warp_jac, active=active)
+        Jj = steepest_descent_loop(gx, gy, warp_jac)
         out[j] = Jj.T @ residual
     return out
 
 
-def residual_curvature_sum(second, warp_jac, weighted_residual,
-                           active=None):
-    """sum over active pixels f and channels c of
-    r_cf dW_f^T S_cf dW_f, with S_cf the symmetrized 2x2 second-derivative
-    matrix of channel c at pixel f; one pixel at a time."""
-    F = warp_jac.shape[0]
+def residual_curvature_sum(second, warp_jac, weighted_residual):
+    """sum over pixels f and channels c of r_cf dW_f^T S_cf dW_f, with
+    S_cf the symmetrized 2x2 second-derivative matrix of channel c at
+    pixel f; one pixel at a time."""
+    F, _, P = warp_jac.shape
     gxx, gxy, gyx, gyy = (np.asarray(g, dtype=np.float64).reshape(-1, F)
                           for g in second)
-    pixels = np.arange(F) if active is None else np.asarray(active)
-    r = np.asarray(weighted_residual, dtype=np.float64).reshape(
-        -1, pixels.size)
-    P = warp_jac.shape[2]
+    r = np.asarray(weighted_residual, dtype=np.float64).reshape(-1, F)
     H = np.zeros((P, P))
-    for i, f in enumerate(pixels):
+    for f in range(F):
         dW = warp_jac[f]
         for c in range(r.shape[0]):
             off = 0.5 * (gxy[c, f] + gyx[c, f])
             S = np.array([[gxx[c, f], off], [off, gyy[c, f]]])
-            H += r[c, i] * (dW.T @ S @ dW)
+            H += r[c, f] * (dW.T @ S @ dW)
     return H
 
 
@@ -182,76 +171,51 @@ def make_bilinear_appearance(frame, rng, m=2, k=1, noise=0.05):
                            image_noise=noise).validate()
 
 
-def sample_under_increment(engine, grids, dp):
-    """Channel-major values of a frame image resampled at W(x; dp)."""
-    pos = engine.increment_positions(np.asarray(dp, dtype=np.float64))
-    vals = sample_frame_image(grids, engine.frame, pos)
-    return vals.T.ravel()
+def field_at(frame, vec, positions):
+    """Channel-major values at `positions` of a frame vector that is a
+    bilinear field in each channel: one least-squares fit on the design
+    [1, x, y, x y] at the pixel positions.  The fit must be exact to
+    round-off, so a vector that is not such a field fails loudly."""
+    centre = frame.positions.mean(axis=0)
 
+    def design(pos):
+        x, y = (pos - centre).T
+        return np.column_stack([np.ones_like(x), x, y, x * y])
 
-def frame_grids(engine, vec):
-    """Frame image grids, NaN outside the mask so that any sample which
-    reads there fails loudly."""
-    return engine.frame.to_grid(vec, fill=np.nan)
-
-
-class AsymmetricCost:
-    """Oracle for 0.5 || i[alpha dp] - (mean + A (c + dc))[-beta dp] ||^2
-    restricted to the given rows, optionally with a quadratic-form weight
-    operator (callable vec -> (weighted, cost))."""
-
-    def __init__(self, engine, appearance, i_vec, c, rows, alpha,
-                 weight=None):
-        self.engine = engine
-        self.appearance = appearance
-        self.i_grids = frame_grids(engine, i_vec)
-        self.c = np.asarray(c, dtype=np.float64)
-        self.rows = rows
-        self.alpha = alpha
-        self.weight = weight
-
-    def residual(self, dc, dp):
-        dp = np.asarray(dp, dtype=np.float64)
-        i_side = sample_under_increment(self.engine, self.i_grids,
-                                        self.alpha * dp)
-        model_vec = appearance_instance(self.appearance, self.c + dc)
-        m_grids = frame_grids(self.engine, model_vec)
-        m_side = sample_under_increment(self.engine, m_grids,
-                                        -(1.0 - self.alpha) * dp)
-        return (i_side - m_side)[self.rows]
-
-    def __call__(self, dc, dp):
-        r = self.residual(dc, dp)
-        if self.weight is None:
-            return 0.5 * float(r @ r)
-        _, cost = self.weight(r)
-        return 0.5 * cost
+    chans = np.asarray(vec, dtype=np.float64).reshape(-1, frame.n_pixels).T
+    D = design(frame.positions)
+    coef = np.linalg.lstsq(D, chans, rcond=None)[0]
+    misfit = np.abs(D @ coef - chans).max()
+    assert misfit <= 1e-10 * np.abs(chans).max(), "not a bilinear field"
+    return (design(positions) @ coef).T.ravel()
 
 
 class BidirectionalCost:
-    """Oracle for 0.5 || i[dp] - (mean + A (c + dc))[dq] ||^2 on rows."""
+    """Oracle for 0.5 || i[dp] - (mean + A (c + dc))[dq] ||^2 over the
+    whole frame, v[dp] being v evaluated at W(x; dp).  The asymmetric
+    cost with blend alpha is (dc, alpha dp, -(1 - alpha) dp).
 
-    def __init__(self, engine, appearance, i_vec, c, rows, weight=None):
+    The image and the model are bilinear fields, evaluated by `field_at`.
+    The analytic derivatives they are compared with are exact only where
+    every pixel has a neighbour along each axis (the image gradient is
+    zero at an isolated pixel), so the frame must have no isolated pixel.
+    """
+
+    def __init__(self, engine, appearance, i_vec, c):
+        nb = engine.frame.neighbors
+        for minus, plus in ((nb[:, 0], nb[:, 1]), (nb[:, 2], nb[:, 3])):
+            assert not np.any((minus < 0) & (plus < 0)), "isolated pixel"
         self.engine = engine
         self.appearance = appearance
-        self.i_grids = frame_grids(engine, i_vec)
+        self.i_vec = i_vec
         self.c = np.asarray(c, dtype=np.float64)
-        self.rows = rows
-        self.weight = weight
-
-    def residual(self, dc, dp, dq):
-        i_side = sample_under_increment(self.engine, self.i_grids, dp)
-        model_vec = appearance_instance(self.appearance, self.c + dc)
-        m_grids = frame_grids(self.engine, model_vec)
-        m_side = sample_under_increment(self.engine, m_grids, dq)
-        return (i_side - m_side)[self.rows]
 
     def __call__(self, dc, dp, dq):
-        r = self.residual(dc, dp, dq)
-        if self.weight is None:
-            return 0.5 * float(r @ r)
-        _, cost = self.weight(r)
-        return 0.5 * cost
+        eng = self.engine
+        model_vec = appearance_instance(self.appearance, self.c + dc)
+        r = (field_at(eng.frame, self.i_vec, eng.increment_positions(dp))
+             - field_at(eng.frame, model_vec, eng.increment_positions(dq)))
+        return 0.5 * float(r @ r)
 
 
 class ToyState:

@@ -203,7 +203,8 @@ class TestWarpToReference:
         for dp in (np.zeros(toy_engine.model.n_params),
                    0.2 * np.ones(toy_engine.model.n_params)):
             shape = shape_instance(toy_engine.model, dp)
-            vec = toy_engine.warp(img, shape)
+            vec = warp_to_reference(img, shape, toy_engine.frame,
+                                    toy_engine.tri)
             np.testing.assert_allclose(vec, 0.625, atol=1e-12)
 
     def test_translated_shape_samples_shifted_ramp(self, toy_engine):
@@ -211,7 +212,7 @@ class TestWarpToReference:
         img = bilinear_field(60, 60, b=2.0)  # f(x, y) = 2 x
         shift = np.array([7.0, 11.0])
         pts = shape_to_points(toy_engine.model.mean) + shift
-        vec = toy_engine.warp(img, pts.ravel())
+        vec = warp_to_reference(img, pts.ravel(), frame, toy_engine.tri)
         expected = 2.0 * (frame.positions[:, 0] + shift[0])
         np.testing.assert_allclose(vec, expected, atol=1e-6)
 
@@ -219,10 +220,10 @@ class TestWarpToReference:
         rng = np.random.default_rng(1)
         img1 = rng.uniform(size=(25, 25))
         img2 = rng.uniform(size=(25, 25))
-        shape = toy_engine.model.mean
-        lhs = toy_engine.warp(0.7 * img1 + 1.3 * img2, shape)
-        rhs = (0.7 * toy_engine.warp(img1, shape)
-               + 1.3 * toy_engine.warp(img2, shape))
+        args = (toy_engine.model.mean, toy_engine.frame, toy_engine.tri)
+        lhs = warp_to_reference(0.7 * img1 + 1.3 * img2, *args)
+        rhs = (0.7 * warp_to_reference(img1, *args)
+               + 1.3 * warp_to_reference(img2, *args))
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_multichannel_layout(self, toy_engine):
@@ -230,7 +231,8 @@ class TestWarpToReference:
         img = np.zeros((30, 30, 2))
         img[:, :, 0] = 1.0
         img[:, :, 1] = 2.0
-        vec = toy_engine.warp(img, toy_engine.model.mean)
+        vec = warp_to_reference(img, toy_engine.model.mean, frame,
+                                toy_engine.tri)
         F = frame.n_pixels
         np.testing.assert_allclose(vec[:F], 1.0)
         np.testing.assert_allclose(vec[F:], 2.0)
@@ -239,13 +241,15 @@ class TestWarpToReference:
         bad = np.array(toy_engine.model.mean)
         bad[0] = np.nan
         with pytest.raises(DimensionError):
-            toy_engine.warp(np.ones((10, 10)), bad)
+            warp_to_reference(np.ones((10, 10)), bad, toy_engine.frame,
+                              toy_engine.tri)
 
     def test_out_of_image_samples_clamp(self, toy_engine):
         img = bilinear_field(12, 12, b=1.0)  # 0 .. 11 along x
         pts = shape_to_points(toy_engine.model.mean).copy()
         pts[:, 0] += 100.0  # every sample lands beyond the right border
-        vec = toy_engine.warp(img, pts.ravel())
+        vec = warp_to_reference(img, pts.ravel(), toy_engine.frame,
+                                toy_engine.tri)
         np.testing.assert_allclose(vec, 11.0, atol=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -254,13 +258,15 @@ class TestWarpToReference:
         img = np.ones((30, 30, 3))
         img[int(y), int(x), 1] = bad
         with pytest.raises(DimensionError):
-            toy_engine.warp(img, toy_engine.model.mean)
+            warp_to_reference(img, toy_engine.model.mean, toy_engine.frame,
+                              toy_engine.tri)
 
     def test_non_finite_pixel_away_from_face_not_read(self, toy_engine):
         img = np.ones((30, 30, 3))
         img[29, 29] = np.nan
         img[0, 29] = np.inf
-        vec = toy_engine.warp(img, toy_engine.model.mean)
+        vec = warp_to_reference(img, toy_engine.model.mean,
+                                toy_engine.frame, toy_engine.tri)
         np.testing.assert_array_equal(vec, 1.0)
 
 
@@ -316,14 +322,16 @@ class TestCompose:
         model = make_toy_shape_model(rng)
         engine = WarpEngine.build(model)
         p = rng.standard_normal(model.n_params) * 0.3
-        np.testing.assert_array_equal(engine.compose(p, np.zeros_like(p)), p)
+        np.testing.assert_array_equal(
+            compose(model, engine.tri, p, np.zeros_like(p)), p)
 
     def test_identity_warp_returns_increment(self, rng):
         model = make_toy_shape_model(rng)
         engine = WarpEngine.build(model)
         dp = 0.25 * rng.standard_normal(model.n_params)
         np.testing.assert_allclose(
-            engine.compose(np.zeros(model.n_params), dp), dp, atol=1e-10)
+            compose(model, engine.tri, np.zeros(model.n_params), dp), dp,
+            atol=1e-10)
 
     def test_translation_only_warp_composes_additively(self, rng):
         model = make_toy_shape_model(rng)
@@ -332,7 +340,8 @@ class TestCompose:
         p[0], p[1] = 3.0, -2.0
         dp = np.zeros(model.n_params)
         dp[0], dp[1] = 0.5, 1.5
-        np.testing.assert_allclose(engine.compose(p, dp), p + dp, atol=1e-10)
+        np.testing.assert_allclose(compose(model, engine.tri, p, dp), p + dp,
+                                   atol=1e-10)
 
     def test_similarity_warp_matches_pointwise_composition(self, rng):
         # For a pure similarity warp every triangle carries the same
@@ -346,7 +355,7 @@ class TestCompose:
         cur_pts = shape_to_points(model.mean) @ R.T + np.array([2.0, -1.0])
         p = project_shape(model, cur_pts.ravel())
         dp = 0.05 * rng.standard_normal(model.n_params)
-        q = engine.compose(p, dp)
+        q = compose(model, engine.tri, p, dp)
         ds = (model.basis @ dp).reshape(-1, 2)
         oracle = cur_pts + ds @ R.T
         np.testing.assert_allclose(shape_to_points(shape_instance(model, q)),
@@ -360,8 +369,9 @@ class TestCompose:
         errors = []
         for h in (0.2, 0.1, 0.05):
             step = h * dp
-            back = engine.compose(engine.compose(p, step),
-                                  invert_increment(step))
+            back = compose(model, engine.tri,
+                           compose(model, engine.tri, p, step),
+                           invert_increment(step))
             errors.append(np.linalg.norm(back - p))
         assert errors[1] < 0.35 * errors[0]
         assert errors[2] < 0.35 * errors[1]
@@ -369,7 +379,8 @@ class TestCompose:
     def test_dimension_mismatch(self, toy_engine):
         n = toy_engine.model.n_params
         with pytest.raises(DimensionError):
-            toy_engine.compose(np.zeros(n + 1), np.zeros(n))
+            compose(toy_engine.model, toy_engine.tri, np.zeros(n + 1),
+                    np.zeros(n))
 
 
 class TestInvertIncrement:
