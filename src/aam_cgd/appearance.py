@@ -24,10 +24,13 @@ class AppearanceModel:
     The mean is stored orthogonal to the basis (the within-subspace
     component of the data mean is absorbed into the parameters), so
     basis.T @ mean = 0 holds exactly.
+
+    `build_appearance_model` stores the basis column-major (each mode
+    contiguous) and read-only.
     """
 
     mean: np.ndarray         # (F * k,)
-    basis: np.ndarray        # (F * k, m), orthonormal columns
+    basis: np.ndarray        # (F * k, m), orthonormal, column-major
     eigenvalues: np.ndarray  # (m,), descending
     image_noise: float       # sigma^2 > 0
 
@@ -69,7 +72,10 @@ def build_appearance_model(warped_images, n_components=None):
     """
     if len(warped_images) < 2:
         raise InsufficientDataError("need at least 2 warped images")
-    vecs = [np.asarray(v, dtype=np.float64).ravel() for v in warped_images]
+    # reshape, not ravel: a strided 1-D input stays a view, so the stack
+    # below is the only copy of the training data.
+    vecs = [np.asarray(v, dtype=np.float64).reshape(-1)
+            for v in warped_images]
     if any(v.size != vecs[0].size for v in vecs):
         raise DimensionError("warped vectors have inconsistent lengths")
     X = np.stack(vecs)

@@ -114,7 +114,8 @@ def gn_hessian(J, projector=None):
                 f"unsupported projector {type(projector)!r}")
         if J.shape[0] != model.n_features:
             raise DimensionError("Jacobian rows do not match the model")
-        B = (J.T @ model.basis).T      # faster on the C-ordered basis
+        # (J^T A)^T runs a few percent faster than A^T J at P = 24.
+        B = (J.T @ model.basis).T
         H = w * H + B.T @ (v * B)
     H = 0.5 * (H + H.T)
     # A non-finite entry of J makes its column's diagonal of J^T J, and so
@@ -155,8 +156,20 @@ def basis_gradient_stack(appearance, frame, warp_jac, residual):
     A^T U with U the adjoint image of `_adjoint_image`, so the m columns
     cost one sparse product and one GEMM.
     """
-    U = _adjoint_image(frame, warp_jac, residual)
-    return (U.T @ appearance.basis).T      # faster on the C-ordered basis
+    r = _checked_residual(appearance, residual)
+    U = _adjoint_image(frame, warp_jac, r)
+    return (U.T @ appearance.basis).T       # as B in `gn_hessian`
+
+
+def _checked_residual(appearance, residual, *jacobians):
+    """The residual as a float64 array, after checking that it and every
+    (rows, P) Jacobian have the appearance model's k F rows."""
+    r = np.asarray(residual, dtype=np.float64)
+    n = appearance.n_features
+    if r.size != n or any(J.shape[0] != n for J in jacobians):
+        raise DimensionError("residual or Jacobian rows do not match the "
+                             "appearance model")
+    return r
 
 
 def _adjoint_image(frame, warp_jac, residual):
@@ -165,13 +178,14 @@ def _adjoint_image(frame, warp_jac, residual):
     With D the frame's (2F, F) difference operator and dW the (2F, P)
     view of `warp_jac`, channel c of U is D^T diag(r_c) dW, r_c repeated
     on the two rows of each pixel: D^T with each stored value scaled by
-    the residual at its row's pixel.  The k scaled copies of D^T stacked
-    in one CSR matrix give the channel-major U in one product.
+    the residual at its row's pixel.  The k scaled copies of the frame's
+    CSR D^T stacked in one CSR matrix give the channel-major U in one
+    product.
     """
     F, _, P = warp_jac.shape
     r = _channels(residual, F)
     k = r.shape[0]
-    Dt = frame.diff.T.tocsr()                             # (F, 2F)
+    Dt = frame.diff_t                                     # (F, 2F)
     nnz = Dt.nnz
     data = np.take(r, Dt.indices // 2, axis=1)            # (k, nnz)
     data *= Dt.data
@@ -222,14 +236,14 @@ def newton_terms_asymmetric(appearance, frame, warp_jac, residual,
     +beta J_A^T r (signs fixed by the finite-difference Hessian oracle).
     """
     beta = 1.0 - alpha
-    X = _adjoint_image(frame, warp_jac,
-                       beta * np.asarray(residual, dtype=np.float64))
+    r = _checked_residual(appearance, residual, J_t)
+    X = _adjoint_image(frame, warp_jac, beta * r)
     X -= J_t
-    cp = (X.T @ appearance.basis).T
+    cp = (X.T @ appearance.basis).T         # as B in `gn_hessian`
     # The curvature is linear in the second derivatives: one pass.
     second = [alpha ** 2 * gi - beta ** 2 * gm
               for gi, gm in zip(grad2_image, grad2_model)]
-    pp = J_t.T @ J_t + residual_curvature(second, warp_jac, residual)
+    pp = J_t.T @ J_t + residual_curvature(second, warp_jac, r)
     return NewtonTerms(cc=np.eye(appearance.n_components), cp=cp,
                        pp=0.5 * (pp + pp.T))
 
@@ -238,11 +252,13 @@ def newton_terms_bidirectional(appearance, frame, warp_jac, residual,
                                grad2_image, grad2_model, J_i, J_a):
     """Second-order blocks for independent image/model increments."""
     P = J_i.shape[1]
-    U = _adjoint_image(frame, warp_jac, residual)
-    cross = (np.hstack([J_i, J_a - U]).T @ appearance.basis).T
+    r = _checked_residual(appearance, residual, J_i, J_a)
+    U = _adjoint_image(frame, warp_jac, r)
+    # At 2P = 48 columns A^T X is the faster orientation, unlike at P.
+    cross = appearance.basis.T @ np.hstack([J_i, J_a - U])
     cp, cq = -cross[:, :P], cross[:, P:]
-    pp = J_i.T @ J_i + residual_curvature(grad2_image, warp_jac, residual)
-    qq = J_a.T @ J_a - residual_curvature(grad2_model, warp_jac, residual)
+    pp = J_i.T @ J_i + residual_curvature(grad2_image, warp_jac, r)
+    qq = J_a.T @ J_a - residual_curvature(grad2_model, warp_jac, r)
     pq = -J_i.T @ J_a
     return NewtonTerms(cc=np.eye(appearance.n_components), cp=cp,
                        pp=0.5 * (pp + pp.T), cq=cq, pq=pq,

@@ -11,6 +11,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dtrsm
 
 from .errors import DegeneracyError, DimensionError, InsufficientDataError
 
@@ -208,6 +209,11 @@ def orthonormalize(C):
     Linearly dependent columns raise `DegeneracyError`: Cholesky either
     fails on them or leaves a round-off pivot, about sqrt(eps) = 1.5e-8
     of the column's norm, which `PIVOT_TOL` rejects.
+
+    Q is column-major, formed by one triangular solve in place.  A
+    writeable, column-major float64 C is overwritten and returned as Q,
+    so no second (dim, n) array is made; any other C is copied first and
+    left unchanged.
     """
     gram = C.T @ C
     try:
@@ -219,7 +225,8 @@ def orthonormalize(C):
     if dependent:
         raise DegeneracyError("cannot orthonormalize linearly dependent "
                               "columns")
-    return C @ np.linalg.inv(L).T
+    Q = np.require(C, np.float64, ["F_CONTIGUOUS", "WRITEABLE"])
+    return dtrsm(1.0, L, Q, side=1, lower=1, trans_a=1, overwrite_b=1)
 
 
 def pca(X, ref_norm2, n_components, what):
@@ -230,8 +237,8 @@ def pca(X, ref_norm2, n_components, what):
     plus an absolute floor tied to the data scale `ref_norm2`, so round-off
     modes of identical samples vanish) are dropped.  Returns (components,
     eigenvalues): the (dim, n_keep) orthonormal modes that `n_components`
-    selects (see `_resolve_n_components`) and every eigenvalue above the
-    floor, descending.
+    selects (see `_resolve_n_components`), column-major, and every
+    eigenvalue above the floor, descending.
     """
     n_samples, dim = X.shape
     gram_side = n_samples < dim
@@ -242,10 +249,11 @@ def pca(X, ref_norm2, n_components, what):
     evals = evals[evals > max(top * 1e-12, ref_norm2 * 1e-26, 1e-300)]
     n_keep = _resolve_n_components(n_components, evals, what)
     if not gram_side:
-        return evecs[:, :n_keep].copy(), evals
+        return np.array(evecs[:, :n_keep], order="F"), evals
     # X^T v_j is mode j up to scale; round-off in the small eigenvectors
     # couples the modes by about eps * top / lambda_j, so re-orthonormalise.
-    # (V^T X)^T: the wide product runs about twice as fast as X^T V.
+    # (V^T X)^T: the wide product runs about twice as fast as X^T V, and
+    # it is column-major, so `orthonormalize` overwrites it.
     return orthonormalize((evecs[:, :n_keep].T @ X).T), evals
 
 

@@ -44,6 +44,7 @@ class ReferenceFrame:
     neighbors: np.ndarray    # (F, 4) dense index of -x, +x, -y, +y or -1
     diff: csr_matrix         # (2F, F) row 2f + a: derivative along axis a
                              # (0 = x, 1 = y) at pixel f
+    diff_t: csr_matrix       # (F, 2F) diff.T, for the Newton adjoint image
 
     @property
     def n_pixels(self):
@@ -203,10 +204,11 @@ def build_reference_frame(model):
         neighbors[ok, axis] = index_grid[r2[ok], c2[ok]]
 
     origin = np.array([x0, y0], dtype=np.float64)
+    diff = _difference_operator(neighbors)
     frame = ReferenceFrame(
         width=width, height=height, origin=origin, mask=mask,
         index_grid=index_grid, positions=positions, neighbors=neighbors,
-        diff=_difference_operator(neighbors))
+        diff=diff, diff_t=diff.T.tocsr())
     tri = Triangulation(triangles=triangles, interp=interp)
     return frame.validate(), tri.validate()
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,6 +93,35 @@ class TestBuildAppearanceModel:
         A = model.basis
         assert np.max(np.abs(A.T @ A - np.eye(30))) < 1e-12
         model.validate()
+
+    @pytest.mark.parametrize("n_samples", [12, 60])  # Gram, covariance side
+    def test_basis_column_major_and_read_only(self, rng, n_samples):
+        model, _ = random_model(rng, dim=40, m=5, n_samples=n_samples)
+        assert model.basis.flags.f_contiguous
+        assert not model.basis.flags.writeable
+
+    def test_strided_input_matches_contiguous(self, rng):
+        M = rng.standard_normal((300, 20))         # columns are the inputs
+        strided = build_appearance_model(list(M.T), n_components=8)
+        contiguous = build_appearance_model(
+            [np.ascontiguousarray(v) for v in M.T], n_components=8)
+        for name in ("mean", "basis", "eigenvalues", "image_noise"):
+            np.testing.assert_array_equal(getattr(strided, name),
+                                          getattr(contiguous, name))
+
+    def test_build_peak_memory(self):
+        """Strided inputs are read in place and the basis is orthonormalised
+        in place: the build holds one copy of the training data and one
+        basis, plus a few vectors of the input length."""
+        M = np.random.default_rng(3).standard_normal((30000, 40))
+        tracemalloc.start()
+        try:
+            model = build_appearance_model(list(M.T), n_components=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        slack = 6 * M[:, 0].nbytes
+        assert peak <= M.nbytes + model.basis.nbytes + slack
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_pixel_rejected(self, rng, bad):

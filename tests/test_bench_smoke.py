@@ -3,10 +3,12 @@
 `perfbench/run.py` builds both models, the warp engine and the synthetic
 faces, runs the benchmark's own derivative self-tests and fits a few
 faces; a failed check exits non-zero and the last line is its JSON
-verdict.  `newton_sd` runs on the 6.7k-pixel frame and `po_ic_hd` on the
-19k-pixel one.  A traced run (`--trace 1`) looks up every layer it times
-by name, so it fails when a traced library function is renamed or
-deleted; `newton_sd` runs once more that way.
+verdict.  `newton_sd` runs on the 6.7k-pixel frame, `po_ic_hd` and
+`po_asym_hd` on the 19k-pixel one; `po_asym_hd` is the only workload
+that runs `gn_hessian` and `project_out` on every step.  A traced run
+(`--trace 1`) looks up every layer it times by name, so it fails when a
+traced library function is renamed or deleted; `newton_sd` runs once
+more that way.
 """
 
 import json
@@ -30,7 +32,7 @@ def run_benchmark(workload, trace=0):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("workload", ["newton_sd", "po_ic_hd"])
+@pytest.mark.parametrize("workload", ["newton_sd", "po_ic_hd", "po_asym_hd"])
 def test_benchmark_runs_and_is_correct(workload):
     assert run_benchmark(workload)["correct"] is True
 

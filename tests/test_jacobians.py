@@ -6,7 +6,8 @@ import pytest
 from aam_cgd.appearance import (AppearanceModel, BpoOperator,
                                 appearance_instance)
 from aam_cgd.errors import DimensionError
-from aam_cgd.jacobians import (basis_gradient_stack, blend_gradients, gn_hessian, image_gradient,
+from aam_cgd.jacobians import (_adjoint_image, basis_gradient_stack,
+                               blend_gradients, gn_hessian, image_gradient,
                                newton_terms_asymmetric,
                                newton_terms_bidirectional, residual_curvature,
                                second_gradient, steepest_descent)
@@ -146,12 +147,16 @@ class TestSteepestDescent:
 @pytest.mark.parametrize("call", [
     "image_gradient", "second_gradient", "steepest_descent",
     "residual_curvature", "residual_curvature_channels",
-    "basis_gradient_stack", "newton_terms_asymmetric",
-    "newton_terms_bidirectional"])
+    "basis_gradient_stack", "basis_gradient_stack_channels",
+    "newton_terms_asymmetric", "newton_terms_asymmetric_channels",
+    "newton_terms_asymmetric_J_t", "newton_terms_bidirectional",
+    "newton_terms_bidirectional_channels", "newton_terms_bidirectional_J_i",
+    "newton_terms_bidirectional_J_a"])
 def test_channel_major_length_checked(toy_engine, rng, call):
-    """A channel-major input of length F + 1, or a residual whose channels
-    disagree with the second derivatives', raises DimensionError rather
-    than numpy's reshape error or a silent broadcast."""
+    """A channel-major input of length F + 1, a one-channel residual
+    against three-channel second derivatives or basis, or an (F, P)
+    Jacobian against the basis's 3F rows raises DimensionError rather
+    than numpy's reshape or matmul error or a silent broadcast."""
     frame, dW = toy_engine.frame, toy_engine.dWdp
     F, P = frame.n_pixels, dW.shape[2]
     app = _orthonormal_appearance(rng, 3 * F, 2)
@@ -168,10 +173,22 @@ def test_channel_major_length_checked(toy_engine, rng, call):
             s, dW, v[:F]),
         "basis_gradient_stack": lambda: basis_gradient_stack(
             app, frame, dW, bad),
+        "basis_gradient_stack_channels": lambda: basis_gradient_stack(
+            app, frame, dW, v[:F]),
         "newton_terms_asymmetric": lambda: newton_terms_asymmetric(
             app, frame, dW, bad, s, s, J, 0.5),
+        "newton_terms_asymmetric_channels": lambda: newton_terms_asymmetric(
+            app, frame, dW, v[:F], s, s, J, 0.5),
+        "newton_terms_asymmetric_J_t": lambda: newton_terms_asymmetric(
+            app, frame, dW, v, s, s, J[:F], 0.5),
         "newton_terms_bidirectional": lambda: newton_terms_bidirectional(
             app, frame, dW, bad, s, s, J, J),
+        "newton_terms_bidirectional_channels": lambda:
+            newton_terms_bidirectional(app, frame, dW, v[:F], s, s, J, J),
+        "newton_terms_bidirectional_J_i": lambda: newton_terms_bidirectional(
+            app, frame, dW, v, s, s, J[:F], J),
+        "newton_terms_bidirectional_J_a": lambda: newton_terms_bidirectional(
+            app, frame, dW, v, s, s, J, J[:F]),
     }
     with pytest.raises(DimensionError):
         calls[call]()
@@ -448,6 +465,23 @@ class TestNewtonBlocksMatchDefinitions:
         for got, ref in ((terms.cp, cp), (terms.pp, pp)):
             np.testing.assert_allclose(got, ref, rtol=1e-12,
                                        atol=1e-12 * np.abs(ref).max())
+
+    def test_adjoint_image(self, setup, rng):
+        """The frame stores D^T as a CSR matrix equal to diff.T, and channel
+        c of the adjoint image is D^T diag(r_c) dW, r_c repeated on the
+        two rows of each pixel."""
+        engine, app = setup
+        frame, dW = engine.frame, engine.dWdp
+        F, _, P = dW.shape
+        assert frame.diff_t.format == "csr"
+        assert (frame.diff_t != frame.diff.T).nnz == 0
+        r = rng.standard_normal(app.n_features)
+        ref = np.vstack([frame.diff.T @ (np.repeat(rc, 2)[:, None]
+                                         * dW.reshape(2 * F, P))
+                         for rc in r.reshape(-1, F)])
+        got = _adjoint_image(frame, dW, r)
+        np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max())
 
     def test_residual_curvature(self, setup, rng):
         engine, app = setup

@@ -253,6 +253,26 @@ class TestBasisOrientation:
         with pytest.raises(DegeneracyError):
             orthonormalize(C)
 
+    def test_orthonormalize_in_place_on_column_major(self, rng):
+        C = np.asfortranarray(rng.standard_normal((40, 8)))
+        raw = C.copy()
+        q = orthonormalize(C)
+        assert np.shares_memory(q, C) and q.flags.f_contiguous
+        np.testing.assert_allclose(q.T @ q, np.eye(8), atol=1e-14)
+        assert_oriented_and_nested(q, raw)
+
+    @pytest.mark.parametrize("layout", ["c_ordered", "read_only"])
+    def test_orthonormalize_leaves_argument(self, rng, layout):
+        C = rng.standard_normal((40, 8))
+        if layout == "read_only":
+            C = np.asfortranarray(C)
+            C.setflags(write=False)
+        raw = C.copy()
+        q = orthonormalize(C)
+        np.testing.assert_array_equal(C, raw)
+        assert not np.shares_memory(q, C) and q.flags.f_contiguous
+        assert_oriented_and_nested(q, raw)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_orthonormalize_round_off_pivot(self, seed):
         """The second column is exactly dependent on the first.  Cholesky
