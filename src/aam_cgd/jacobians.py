@@ -118,11 +118,15 @@ def gn_hessian(J, projector=None):
         B = (J.T @ model.basis).T
         H = w * H + B.T @ (v * B)
     H = 0.5 * (H + H.T)
-    # A non-finite entry of J makes its column's diagonal of J^T J, and so
-    # of H, non-finite: checking the P x P result spares a pass over J.
-    if not np.all(np.isfinite(H)):
-        raise DimensionError("Jacobian contains non-finite entries")
+    _require_finite(H)
     return H
+
+
+def _require_finite(*blocks):
+    """Any non-finite input entry reaches the small blocks built from it,
+    so checking them spares a pass over the (k F, P) inputs."""
+    if not all(np.isfinite(b).all() for b in blocks):
+        raise DimensionError("non-finite Jacobian, residual or curvature")
 
 
 def residual_curvature(second, warp_jac, weighted_residual):
@@ -244,8 +248,8 @@ def newton_terms_asymmetric(appearance, frame, warp_jac, residual,
     second = [alpha ** 2 * gi - beta ** 2 * gm
               for gi, gm in zip(grad2_image, grad2_model)]
     pp = J_t.T @ J_t + residual_curvature(second, warp_jac, r)
-    return NewtonTerms(cc=np.eye(appearance.n_components), cp=cp,
-                       pp=0.5 * (pp + pp.T))
+    _require_finite(cp, pp)
+    return NewtonTerms(cc=np.eye(appearance.n_components), cp=cp, pp=pp)
 
 
 def newton_terms_bidirectional(appearance, frame, warp_jac, residual,
@@ -260,6 +264,6 @@ def newton_terms_bidirectional(appearance, frame, warp_jac, residual,
     pp = J_i.T @ J_i + residual_curvature(grad2_image, warp_jac, r)
     qq = J_a.T @ J_a - residual_curvature(grad2_model, warp_jac, r)
     pq = -J_i.T @ J_a
-    return NewtonTerms(cc=np.eye(appearance.n_components), cp=cp,
-                       pp=0.5 * (pp + pp.T), cq=cq, pq=pq,
-                       qq=0.5 * (qq + qq.T))
+    _require_finite(cross, pp, qq, pq)
+    return NewtonTerms(cc=np.eye(appearance.n_components), cp=cp, pp=pp,
+                       cq=cq, pq=pq, qq=qq)

@@ -14,6 +14,11 @@ sparse (F, H * W) operator with the four bilinear weights of each
 warped position's cell, and its product with the image's (H * W, k)
 pixel rows gives the warped values.
 
+Composition reuses the mesh: `Triangulation.landmark_grad` (2v, v) holds
+in row 2u + a the x_a-derivatives of the barycentric weights averaged over
+the triangles at landmark u, so its product with the current landmarks is
+the warp's averaged Jacobian (transposed) at each of them.
+
 Warped image vectors are channel-major: vec[ch * F + i] holds channel
 `ch` at masked pixel `i`.
 """
@@ -75,10 +80,11 @@ class ReferenceFrame:
 
 @dataclass(frozen=True)
 class Triangulation:
-    """Triangle list over the mean shape plus the interpolation operator."""
+    """Triangle list over the mean shape plus two fixed sparse operators."""
 
     triangles: np.ndarray    # (T, 3) vertex indices
     interp: csr_matrix       # (F, n_points) three entries per row
+    landmark_grad: csr_matrix  # (2 n_points, n_points), see module doc
 
     def validate(self):
         sums = np.asarray(self.interp.sum(axis=1)).ravel()
@@ -155,7 +161,8 @@ def build_reference_frame(model):
     Tie rule, as in `rasterize_barycentric`: a point on a shared edge or
     vertex takes the lowest-numbered triangle, so `find_simplex` runs
     brute force, not its order-dependent walk.  Weights are clipped at 0
-    and renormalised.
+    and renormalised.  A landmark that lies in no triangle, such as a
+    repeated point, raises `DegeneracyError`.
     """
     pts = shape_to_points(model.mean)
     try:
@@ -165,6 +172,10 @@ def build_reference_frame(model):
     if not np.all(np.isfinite(delaunay.transform)):
         raise DegeneracyError("degenerate triangle in the mean shape's mesh")
     triangles = np.ascontiguousarray(delaunay.simplices, dtype=np.int64)
+    v = pts.shape[0]
+    count = np.bincount(triangles.ravel(), minlength=v)
+    if np.any(count == 0):
+        raise DegeneracyError("landmark in no triangle of the mean shape")
 
     x0 = int(np.floor(pts[:, 0].min()))
     y0 = int(np.floor(pts[:, 1].min()))
@@ -193,7 +204,17 @@ def build_reference_frame(model):
     weights = np.clip(np.column_stack([uv, 1.0 - uv.sum(axis=1)]), 0.0, None)
     weights /= weights.sum(axis=1, keepdims=True)
     interp = csr_matrix((weights.ravel(), triangles[simplex].ravel(),
-                         np.arange(0, 3 * F + 1, 3)), shape=(F, pts.shape[0]))
+                         np.arange(0, 3 * F + 1, 3)), shape=(F, v))
+    # Weight gradients in a triangle: T[0], T[1], -T[0] - T[1].  `vals`
+    # axes: triangle, corner u (row 2u + a), vertex w (column), axis a.
+    G = delaunay.transform[:, :2]
+    G = np.concatenate([G, -G.sum(axis=1, keepdims=True)], axis=1)
+    vals = G[:, None] / count[triangles][:, :, None, None]
+    row = np.broadcast_to(2 * triangles[:, :, None, None] + np.arange(2),
+                          vals.shape)
+    col = np.broadcast_to(triangles[:, None, :, None], vals.shape)
+    landmark_grad = csr_matrix((vals.ravel(), (row.ravel(), col.ravel())),
+                               shape=(2 * v, v))
 
     rr, cc = np.nonzero(mask)
     neighbors = np.full((F, 4), -1, dtype=np.int64)
@@ -209,7 +230,8 @@ def build_reference_frame(model):
         width=width, height=height, origin=origin, mask=mask,
         index_grid=index_grid, positions=positions, neighbors=neighbors,
         diff=diff, diff_t=diff.T.tocsr())
-    tri = Triangulation(triangles=triangles, interp=interp)
+    tri = Triangulation(triangles=triangles, interp=interp,
+                        landmark_grad=landmark_grad)
     return frame.validate(), tri.validate()
 
 
@@ -229,6 +251,8 @@ def bilinear_sample(image, positions):
         img = img[:, :, None]
     h, w, k = img.shape
     positions = np.asarray(positions, dtype=np.float64)
+    if positions.ndim != 2 or positions.shape[1] != 2:
+        raise DimensionError("sample positions must be an (N, 2) array")
     if not np.all(np.isfinite(positions)):
         raise DimensionError("non-finite sample position")
     idx = np.int32 if h * w < 2 ** 31 else np.int64
@@ -260,6 +284,8 @@ def warp_to_reference(image, shape, frame, tri):
     img = np.asarray(image, dtype=np.float64)
     if img.size == 0:
         raise DimensionError("empty image")
+    if shape.size != 2 * tri.interp.shape[1]:
+        raise DimensionError("shape and mesh disagree in landmark count")
     vec = bilinear_sample(img, tri.interp @ shape_to_points(shape)).T.ravel()
     if not np.all(np.isfinite(vec)):
         raise DimensionError("non-finite pixel under the warped face")
@@ -285,32 +311,13 @@ def warp_jacobian_identity(model, frame, tri):
     return (tri.interp @ model.basis.reshape(-1, 2 * P)).reshape(-1, 2, P)
 
 
-def _triangle_linear_maps(ref_pts, cur_pts, triangles):
-    """Linear part of the affine map taking each reference triangle to the
-    corresponding current triangle.  Returns (T, 2, 2)."""
-    i, j, k = triangles[:, 0], triangles[:, 1], triangles[:, 2]
-    D = np.stack([ref_pts[j] - ref_pts[i], ref_pts[k] - ref_pts[i]], axis=2)
-    C = np.stack([cur_pts[j] - cur_pts[i], cur_pts[k] - cur_pts[i]], axis=2)
-    det = D[:, 0, 0] * D[:, 1, 1] - D[:, 0, 1] * D[:, 1, 0]
-    if np.any(np.abs(det) < 1e-14):
-        raise DegeneracyError("degenerate reference triangle in composition")
-    Dinv = np.empty_like(D)
-    Dinv[:, 0, 0] = D[:, 1, 1]
-    Dinv[:, 0, 1] = -D[:, 0, 1]
-    Dinv[:, 1, 0] = -D[:, 1, 0]
-    Dinv[:, 1, 1] = D[:, 0, 0]
-    Dinv /= det[:, None, None]
-    return C @ Dinv
-
-
 def compose(model, tri, p, dp):
     """First-order composition p o dp of shape parameters.
 
-    Each mean landmark is displaced by the incremental offset basis @ dp;
-    the displacement is transported into the current shape through the
-    current warp's per-triangle affine maps (averaged over the triangles
-    adjacent to each landmark) and the displaced landmarks are projected
-    back onto the model.
+    Each mean landmark's offset under dp (basis @ dp) is transported into
+    the current shape by the current warp's Jacobian averaged over the
+    landmark's triangles (`Triangulation.landmark_grad`); the moved
+    landmarks are projected back onto the model.
     """
     p = np.asarray(p, dtype=np.float64).ravel()
     dp = np.asarray(dp, dtype=np.float64).ravel()
@@ -318,22 +325,10 @@ def compose(model, tri, p, dp):
         raise DimensionError("parameter vectors must have length n_params")
     if not dp.any():
         return p.copy()
-    ref_pts = shape_to_points(model.mean)
-    cur_pts = shape_to_points(shape_instance(model, p))
+    cur = shape_to_points(shape_instance(model, p))
+    jac_t = (tri.landmark_grad @ cur).reshape(-1, 2, 2)   # [u, a, b] = db/da
     ds = (model.basis @ dp).reshape(-1, 2)
-
-    M = _triangle_linear_maps(ref_pts, cur_pts, tri.triangles)
-    v = ref_pts.shape[0]
-    acc = np.zeros((v, 2, 2))
-    cnt = np.zeros(v)
-    for corner in range(3):
-        np.add.at(acc, tri.triangles[:, corner], M)
-        np.add.at(cnt, tri.triangles[:, corner], 1.0)
-    if np.any(cnt == 0):
-        raise DegeneracyError("landmark not referenced by any triangle")
-    acc /= cnt[:, None, None]
-
-    moved = cur_pts + np.einsum("vij,vj->vi", acc, ds)
+    moved = cur + np.einsum("vab,va->vb", jac_t, ds)
     return project_shape(model, moved.ravel())
 
 

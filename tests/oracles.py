@@ -14,6 +14,7 @@ frame, its border included.
 import numpy as np
 
 from aam_cgd.appearance import AppearanceModel, appearance_instance
+from aam_cgd.shape_model import project_shape, shape_instance, shape_to_points
 
 
 def interior_pixels(frame, radius=1):
@@ -127,6 +128,29 @@ def bilinear_reference(image, positions):
     v11 = img[y1, x1]
     return (v00 * (1 - fx) * (1 - fy) + v01 * fx * (1 - fy)
             + v10 * (1 - fx) * fy + v11 * fx * fy)
+
+
+def compose_per_triangle(model, triangles, p, dp):
+    """First-order composition p o dp triangle by triangle: the linear
+    part C D^-1 of the affine map taking each mean triangle (edge vectors
+    D) onto the current one (edge vectors C), averaged over the triangles
+    at each landmark, transports the landmark offsets basis @ dp into the
+    current shape, which is then projected onto the model."""
+    ref = shape_to_points(model.mean)
+    cur = shape_to_points(shape_instance(model, p))
+    i, j, k = np.asarray(triangles).T
+    D = np.stack([ref[j] - ref[i], ref[k] - ref[i]], axis=2)
+    C = np.stack([cur[j] - cur[i], cur[k] - cur[i]], axis=2)
+    M = C @ np.linalg.inv(D)
+    acc = np.zeros((ref.shape[0], 2, 2))
+    cnt = np.zeros(ref.shape[0])
+    for corner in (i, j, k):
+        np.add.at(acc, corner, M)
+        np.add.at(cnt, corner, 1.0)
+    acc /= cnt[:, None, None]
+    ds = (model.basis @ dp).reshape(-1, 2)
+    moved = cur + np.einsum("vij,vj->vi", acc, ds)
+    return project_shape(model, moved.ravel())
 
 
 def similarity_lstsq(source, target):

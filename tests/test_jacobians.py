@@ -371,7 +371,7 @@ class TestNewtonTermsAsymmetric:
     def test_assembled_hessian_symmetric(self, newton_setup):
         terms, _, _ = self._assemble(newton_setup, 0.3)
         H = terms.full()
-        np.testing.assert_allclose(H, H.T, atol=1e-8)
+        np.testing.assert_array_equal(H, H.T)
 
 
 
@@ -420,8 +420,37 @@ class TestNewtonTermsBidirectional:
     def test_assembled_hessian_symmetric(self, newton_setup):
         terms, _, _, _ = self._assemble(newton_setup)
         H = terms.full()
-        np.testing.assert_allclose(H, H.T, atol=1e-8)
+        np.testing.assert_array_equal(H, H.T)
 
+
+
+@pytest.mark.parametrize("assembler, poison", [
+    *[("asymmetric", name) for name in ("residual", "J_t", "s_i", "s_m")],
+    *[("bidirectional", name)
+      for name in ("residual", "J_i", "J_a", "s_i", "s_m")]])
+def test_newton_terms_reject_non_finite_input(rng, assembler, poison):
+    """One NaN in the residual, a Jacobian or one image- or model-side
+    second derivative, on a three-channel state, raises rather than
+    making the assembled Hessian non-finite."""
+    state = make_toy_state(rng, v=6, n_modes=2, m=2, k=3, radius=6.0)
+    frame, dW = state.engine.frame, state.engine.dWdp
+    model_vec = appearance_instance(state.appearance, state.c)
+    J_i = steepest_descent(*image_gradient(state.i_vec, frame), dW)
+    args = {"residual": _residual(state), "J_t": J_i, "J_i": J_i,
+            "J_a": steepest_descent(*image_gradient(model_vec, frame), dW),
+            "s_i": second_gradient(state.i_vec, frame),
+            "s_m": second_gradient(model_vec, frame)}
+    target = args[poison]
+    if poison.startswith("s_"):
+        target = target[rng.integers(4)]       # one of xx, xy, yx, yy
+    target.flat[rng.integers(target.size)] = np.nan
+    common = (state.appearance, frame, dW, args["residual"], args["s_i"],
+              args["s_m"])
+    with pytest.raises(DimensionError, match="non-finite"):
+        if assembler == "asymmetric":
+            newton_terms_asymmetric(*common, args["J_t"], 0.3)
+        else:
+            newton_terms_bidirectional(*common, args["J_i"], args["J_a"])
 
 
 class TestNewtonBlocksMatchDefinitions:

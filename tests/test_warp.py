@@ -14,7 +14,7 @@ from aam_cgd.warp import (BARYCENTRIC_TOL, WarpEngine, bilinear_sample,
 from conftest import (bilinear_field, bilinear_value,
                       make_full_rank_shape_model, make_toy_shape_model,
                       square_shape_model)
-from oracles import bilinear_reference, interior_pixels
+from oracles import bilinear_reference, compose_per_triangle, interior_pixels
 
 
 class TestBuildReferenceFrame:
@@ -70,6 +70,14 @@ class TestBuildReferenceFrame:
             mean=np.array([0.0, 0.0, 10.0, 0.0, 5.0, 1e-12, 5.0, 5.0]))
         with pytest.raises(DegeneracyError):
             build_reference_frame(sliver)
+
+    def test_landmark_in_no_triangle_rejected(self):
+        # A repeated corner lies in no triangle, so `compose` could not
+        # average a Jacobian there: the build rejects the mesh.
+        square = [0.0, 0.0, 10.0, 0.0, 10.0, 10.0, 0.0, 10.0]
+        repeated = SimpleNamespace(mean=np.array(square + [10.0, 10.0]))
+        with pytest.raises(DegeneracyError, match="no triangle"):
+            build_reference_frame(repeated)
 
 
 def _frame_queries(frame):
@@ -150,6 +158,35 @@ class TestRasterizeBarycentric:
         np.testing.assert_allclose(rec, queries[ok], atol=1e-9)
 
 
+def _random_mesh_model(seed):
+    """Shape model whose mean is 12 random points, so its Delaunay mesh
+    has triangles of every shape and landmarks of every valence."""
+    rng = np.random.default_rng(seed)
+    mean = rng.uniform(0.0, 20.0, size=24)
+    shapes = [mean + 0.3 * rng.standard_normal(24) for _ in range(40)]
+    return build_shape_model(shapes, mean)
+
+
+_COMPOSE_MESHES = pytest.mark.parametrize("build", [
+    make_toy_shape_model, make_full_rank_shape_model,
+    *[lambda rng, s=s: _random_mesh_model(s) for s in range(4)]],
+    ids=["toy", "full_rank"] + [f"random{s}" for s in range(4)])
+
+
+class TestLandmarkGradient:
+    @_COMPOSE_MESHES
+    def test_mean_landmarks_give_identity(self, rng, build):
+        # The warp at p = 0 is the identity, so composing onto p = 0
+        # returns dp.
+        model = build(rng)
+        _, tri = build_reference_frame(model)
+        jac = tri.landmark_grad @ shape_to_points(model.mean)
+        np.testing.assert_allclose(
+            jac.reshape(-1, 2, 2),
+            np.broadcast_to(np.eye(2), (model.n_points, 2, 2)),
+            rtol=0, atol=1e-12)
+
+
 class TestBilinearSample:
     @pytest.mark.parametrize("shape", [(9, 7), (9, 7, 1), (9, 7, 3),
                                        (1, 7, 3), (9, 1, 3), (1, 1, 3)])
@@ -179,6 +216,13 @@ class TestBilinearSample:
         np.testing.assert_allclose(bilinear_sample(img, positions),
                                    bilinear_reference(img, positions),
                                    rtol=0.0, atol=1e-15 * scale)
+
+    @pytest.mark.parametrize("positions", [
+        np.array([[1.5, 2.5, 0.0], [3.0, 1.0, 0.0]]), np.array([1.5, 2.5])],
+        ids=["three_columns", "one_dimensional"])
+    def test_positions_must_be_n_by_2(self, positions):
+        with pytest.raises(DimensionError):
+            bilinear_sample(np.ones((5, 5, 3)), positions)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_position_rejected(self, bad):
@@ -242,6 +286,12 @@ class TestWarpToReference:
         bad[0] = np.nan
         with pytest.raises(DimensionError):
             warp_to_reference(np.ones((10, 10)), bad, toy_engine.frame,
+                              toy_engine.tri)
+
+    def test_landmark_count_must_match_mesh(self, toy_engine):
+        shape = np.append(toy_engine.model.mean, [3.0, 4.0])
+        with pytest.raises(DimensionError):
+            warp_to_reference(np.ones((30, 30)), shape, toy_engine.frame,
                               toy_engine.tri)
 
     def test_out_of_image_samples_clamp(self, toy_engine):
@@ -375,6 +425,18 @@ class TestCompose:
             errors.append(np.linalg.norm(back - p))
         assert errors[1] < 0.35 * errors[0]
         assert errors[2] < 0.35 * errors[1]
+
+    @_COMPOSE_MESHES
+    def test_matches_per_triangle_reference(self, rng, build):
+        model = build(rng)
+        tri = WarpEngine.build(model).tri
+        for _ in range(20):
+            p = 0.5 * rng.standard_normal(model.n_params)
+            dp = 0.2 * rng.standard_normal(model.n_params)
+            got = compose(model, tri, p, dp)
+            want = compose_per_triangle(model, tri.triangles, p, dp)
+            assert (np.linalg.norm(got - want)
+                    <= 1e-12 * np.linalg.norm(want))
 
     def test_dimension_mismatch(self, toy_engine):
         n = toy_engine.model.n_params
