@@ -6,12 +6,12 @@ ever materialized.  Appearance vectors are channel-major, matching
 `warp.warp_to_reference`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, InsufficientDataError
-from .shape_model import _freeze, pca
+from .shape_model import _freeze, as_vector, pca
 
 SIGMA_FLOOR_REL = 1e-8
 SIGMA_FLOOR_ABS = 1e-12
@@ -65,10 +65,10 @@ class AppearanceModel:
 def build_appearance_model(warped_images, n_components=None):
     """Mean-centered PCA of warped appearance vectors.
 
-    `n_components` follows the shape-model convention: int = mode count,
-    float = cumulative variance ratio, None = full rank.  The image noise
-    is the mean discarded eigenvalue, floored at 1e-8 times the leading
-    eigenvalue so the Bayesian operator stays well defined.
+    `n_components` follows the shape-model convention: an integer mode
+    count (capped at the rank, with a warning) or None for full rank.  The
+    image noise is the mean discarded eigenvalue, floored at 1e-8 times the
+    leading eigenvalue so the Bayesian operator stays well defined.
     """
     if len(warped_images) < 2:
         raise InsufficientDataError("need at least 2 warped images")
@@ -104,18 +104,13 @@ def build_appearance_model(warped_images, n_components=None):
 
 def appearance_instance(model, c):
     """Evaluate mean + basis @ c."""
-    c = np.asarray(c, dtype=np.float64).ravel()
-    if c.size != model.n_components:
-        raise DimensionError(
-            f"expected {model.n_components} parameters, got {c.size}")
+    c = as_vector(c, model.n_components, "appearance parameters")
     return model.mean + model.basis @ c
 
 
 def project_appearance(model, v):
     """Least-squares appearance parameters basis.T @ (v - mean)."""
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if v.size != model.n_features:
-        raise DimensionError("vector length does not match the model")
+    v = as_vector(v, model.n_features, "appearance values")
     return model.basis.T @ (v - model.mean)
 
 
@@ -143,14 +138,15 @@ class BpoOperator:
 
     model: AppearanceModel
     rho: float = 0.5
-    d: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not 0.0 <= self.rho <= 1.0:
             raise ConfigError(f"rho must lie in [0, 1], got {self.rho}")
-        d = self.model.eigenvalues + self.model.image_noise
-        d.setflags(write=False)
-        object.__setattr__(self, "d", d)
+
+    @property
+    def d(self):
+        """The diagonal of D: eigenvalues + sigma^2."""
+        return self.model.eigenvalues + self.model.image_noise
 
     @property
     def ortho_weight(self):

@@ -30,6 +30,7 @@ from scipy.sparse import csr_matrix
 
 from .appearance import AppearanceModel, BpoOperator
 from .errors import DimensionError
+from .warp import _channels
 
 
 def image_gradient(v, frame):
@@ -57,14 +58,6 @@ def _difference(v, frame):
     """(2F, k) product of the difference operator with the k channels of
     a channel-major frame vector: row 2f + a, column c."""
     return frame.diff @ _channels(v, frame.n_pixels).T
-
-
-def _channels(v, F):
-    """(k, F) view of a channel-major frame vector of length k F."""
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if v.size % F != 0:
-        raise DimensionError("vector length is not a multiple of F")
-    return v.reshape(-1, F)
 
 
 def steepest_descent(grad_x, grad_y, warp_jac):
@@ -207,10 +200,9 @@ class NewtonTerms:
     Asymmetric composition uses (cc, cp, pp); bidirectional additionally
     fills (cq, pq, qq).  Block `cc` = A^T A is the identity, which
     `AppearanceModel.validate` guarantees the basis Gram matrix to be to
-    1e-10.
+    1e-10, so it is not stored: `full` fills it in.
     """
 
-    cc: np.ndarray
     cp: np.ndarray
     pp: np.ndarray
     cq: np.ndarray = None
@@ -223,13 +215,15 @@ class NewtonTerms:
 
     def full(self):
         """Assemble the dense symmetric Hessian over (dc, dp[, dq])."""
+        cc = np.eye(self.cp.shape[0])
         if not self.bidirectional:
-            return np.block([[self.cc, self.cp], [self.cp.T, self.pp]])
-        return np.block([[self.cc, self.cp, self.cq],
+            return np.block([[cc, self.cp], [self.cp.T, self.pp]])
+        return np.block([[cc, self.cp, self.cq],
                          [self.cp.T, self.pp, self.pq],
                          [self.cq.T, self.pq.T, self.qq]])
 
 
+@np.errstate(invalid="ignore", over="ignore")   # checked by _require_finite
 def newton_terms_asymmetric(appearance, frame, warp_jac, residual,
                             grad2_image, grad2_model, J_t, alpha):
     """Second-order blocks for the alpha-blended composition.
@@ -249,9 +243,10 @@ def newton_terms_asymmetric(appearance, frame, warp_jac, residual,
               for gi, gm in zip(grad2_image, grad2_model)]
     pp = J_t.T @ J_t + residual_curvature(second, warp_jac, r)
     _require_finite(cp, pp)
-    return NewtonTerms(cc=np.eye(appearance.n_components), cp=cp, pp=pp)
+    return NewtonTerms(cp=cp, pp=pp)
 
 
+@np.errstate(invalid="ignore", over="ignore")   # checked by _require_finite
 def newton_terms_bidirectional(appearance, frame, warp_jac, residual,
                                grad2_image, grad2_model, J_i, J_a):
     """Second-order blocks for independent image/model increments."""
@@ -265,5 +260,4 @@ def newton_terms_bidirectional(appearance, frame, warp_jac, residual,
     qq = J_a.T @ J_a - residual_curvature(grad2_model, warp_jac, r)
     pq = -J_i.T @ J_a
     _require_finite(cross, pp, qq, pq)
-    return NewtonTerms(cc=np.eye(appearance.n_components), cp=cp, pp=pp,
-                       cq=cq, pq=pq, qq=qq)
+    return NewtonTerms(cp=cp, pp=pp, cq=cq, pq=pq, qq=qq)

@@ -7,6 +7,7 @@ Shapes are flat float64 vectors of length 2v with interleaved coordinates
 z = x + iy (a `complex128` view), where a 2D similarity is z -> a z + t.
 """
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -31,6 +32,16 @@ def as_shape(points):
     if not np.all(np.isfinite(s)):
         raise DimensionError("shape vector contains non-finite coordinates")
     return s
+
+
+def as_vector(x, size, what):
+    """Validate and return `size` finite values as a flat float64 array."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    if x.size != size:
+        raise DimensionError(f"expected {size} {what}, got {x.size}")
+    if not np.all(np.isfinite(x)):
+        raise DimensionError(f"non-finite {what}")
+    return x
 
 
 def shape_to_points(s):
@@ -123,14 +134,12 @@ class ShapeModel:
 
     The first 4 basis columns are the orthonormalized similarity
     differentials; the remaining n columns are non-rigid PCA modes with
-    variances `eigenvalues`.  `shape_noise` is the average variance of the
-    discarded modes.
+    variances `eigenvalues`.
     """
 
     mean: np.ndarray         # (2v,)
     basis: np.ndarray        # (2v, 4 + n)
     eigenvalues: np.ndarray  # (n,)
-    shape_noise: float
 
     @property
     def n_points(self):
@@ -160,8 +169,6 @@ class ShapeModel:
             raise DimensionError("shape eigenvalues must be positive")
         if np.any(np.diff(self.eigenvalues) > 0):
             raise DimensionError("shape eigenvalues must be sorted descending")
-        if self.shape_noise < 0:
-            raise DimensionError("shape noise must be non-negative")
         return self
 
 
@@ -171,24 +178,16 @@ def _freeze(*arrays):
 
 
 def _resolve_n_components(n_components, evals, what):
-    """Interpret a truncation request: int = mode count, float (numpy
-    floats included) = cumulative variance ratio in (0, 1], None = keep
-    everything."""
+    """Interpret a truncation request: an integer (numpy integers
+    included) = mode count, None = keep everything."""
     available = evals.size
     if n_components is None:
         return available
-    if isinstance(n_components, (float, np.floating)):
-        if not 0 < n_components <= 1:
-            raise DimensionError(
-                f"{what} variance ratio must lie in (0, 1], "
-                f"got {n_components}")
-        total = evals.sum()
-        if total <= 0:
-            return 0
-        ratios = np.cumsum(evals) / total
-        return min(int(np.searchsorted(ratios, n_components - 1e-12) + 1),
-                   available)
-    n_keep = int(n_components)
+    try:
+        n_keep = operator.index(n_components)
+    except TypeError:
+        raise DimensionError(f"{what} component count must be an integer "
+                             f"or None, got {n_components!r}") from None
     if n_keep < 0:
         raise DimensionError(f"{what} component count must be >= 0")
     if n_keep > available:
@@ -260,10 +259,9 @@ def pca(X, ref_norm2, n_components, what):
 def build_shape_model(aligned, mean, n_components=None):
     """Build a ShapeModel from Procrustes-aligned shapes.
 
-    `n_components` selects the number of non-rigid modes: an int (capped at
-    the available rank, with a warning), a float variance ratio in (0, 1]
-    (smallest count whose cumulative eigenvalue mass reaches the ratio), or
-    None to keep everything.
+    `n_components` selects the number of non-rigid modes: an integer
+    (capped at the available rank, with a warning) or None to keep
+    everything.
     """
     if len(aligned) < 2:
         raise InsufficientDataError("need at least 2 aligned shapes")
@@ -276,24 +274,18 @@ def build_shape_model(aligned, mean, n_components=None):
     X -= (X @ sim) @ sim.T
     comps, evals = pca(X, float(mean @ mean), n_components, "shape")
 
-    discarded = evals[comps.shape[1]:]
-    shape_noise = float(discarded.mean()) if discarded.size else 0.0
-
     # Final pass to remove residual round-off coupling.
     basis = orthonormalize(np.hstack([sim, comps]))
     mean = mean.copy()
     eigenvalues = evals[:comps.shape[1]].copy()
     _freeze(mean, basis, eigenvalues)
-    return ShapeModel(mean=mean, basis=basis, eigenvalues=eigenvalues,
-                      shape_noise=shape_noise).validate()
+    return ShapeModel(mean=mean, basis=basis,
+                      eigenvalues=eigenvalues).validate()
 
 
 def shape_instance(model, p):
     """Evaluate mean + basis @ p."""
-    p = np.asarray(p, dtype=np.float64).ravel()
-    if p.size != model.n_params:
-        raise DimensionError(
-            f"expected {model.n_params} parameters, got {p.size}")
+    p = as_vector(p, model.n_params, "shape parameters")
     return model.mean + model.basis @ p
 
 

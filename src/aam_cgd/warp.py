@@ -66,16 +66,21 @@ class ReferenceFrame:
             raise DimensionError("pixel index is not a bijection onto 0..F-1")
         return self
 
-    def to_grid(self, vec, fill=0.0):
-        """Scatter a channel-major vector onto (k, height, width) grids."""
-        vec = np.asarray(vec, dtype=np.float64).ravel()
-        F = self.n_pixels
-        if vec.size % F != 0:
-            raise DimensionError("vector length is not a multiple of F")
-        k = vec.size // F
-        grids = np.full((k, self.height, self.width), fill, dtype=np.float64)
-        grids[:, self.mask] = vec.reshape(k, F)
+    def to_grid(self, vec):
+        """Scatter a channel-major vector onto (k, height, width) grids,
+        zero outside the mask."""
+        v = _channels(vec, self.n_pixels)
+        grids = np.zeros((v.shape[0], self.height, self.width))
+        grids[:, self.mask] = v
         return grids
+
+
+def _channels(v, F):
+    """(k, F) view of a channel-major frame vector of length k F."""
+    v = np.asarray(v, dtype=np.float64).ravel()
+    if v.size % F != 0:
+        raise DimensionError("vector length is not a multiple of F")
+    return v.reshape(-1, F)
 
 
 @dataclass(frozen=True)

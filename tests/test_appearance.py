@@ -9,6 +9,9 @@ from aam_cgd.appearance import (AppearanceModel, BpoOperator,
                                 appearance_instance, build_appearance_model,
                                 project_appearance, project_out)
 from aam_cgd.errors import ConfigError, DimensionError
+from aam_cgd.shape_model import shape_instance
+
+from conftest import make_toy_shape_model
 
 
 def random_model(rng, dim=40, m=5, n_samples=12, noise=0.0):
@@ -22,23 +25,12 @@ def random_model(rng, dim=40, m=5, n_samples=12, noise=0.0):
 
 
 class TestBuildAppearanceModel:
-    def test_variance_ratio_retains_mass(self, rng):
+    @pytest.mark.parametrize("count", [0.75, np.float64(3.0)],
+                             ids=["float", "numpy_float"])
+    def test_non_integer_count_rejected(self, rng, count):
         _, data = random_model(rng, dim=60, m=8, n_samples=30)
-        full = build_appearance_model(list(data))
-        part = build_appearance_model(list(data), n_components=0.75)
-        mass = part.eigenvalues.sum() / full.eigenvalues.sum()
-        assert mass >= 0.75
-        if part.n_components > 1:
-            prev = part.eigenvalues[:-1].sum() / full.eigenvalues.sum()
-            assert prev < 0.75
-
-    @pytest.mark.parametrize("ratio", [np.float32(0.75), np.float64(0.75)],
-                             ids=["float32", "float64"])
-    def test_numpy_float_is_variance_ratio(self, rng, ratio):
-        _, data = random_model(rng, dim=60, m=8, n_samples=30)
-        plain = build_appearance_model(list(data), n_components=0.75)
-        typed = build_appearance_model(list(data), n_components=ratio)
-        assert 0 < typed.n_components == plain.n_components
+        with pytest.raises(DimensionError, match="integer"):
+            build_appearance_model(list(data), n_components=count)
 
     def test_duplicated_image_gives_empty_basis_with_noise_floor(self):
         img = np.linspace(0.0, 1.0, 25)
@@ -271,3 +263,23 @@ class TestInstanceProject:
         model, _ = random_model(rng)
         with pytest.raises(DimensionError):
             appearance_instance(model, np.zeros(model.n_components + 2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("call", ["shape_instance", "appearance_instance",
+                                  "project_appearance"])
+def test_non_finite_input_rejected(rng, call, bad):
+    """One non-finite parameter or appearance value raises, as a
+    non-finite shape does in `project_shape`, rather than evaluating to
+    NaN."""
+    shape = make_toy_shape_model(rng)
+    app, _ = random_model(rng)
+    fn, model, n = {
+        "shape_instance": (shape_instance, shape, shape.n_params),
+        "appearance_instance": (appearance_instance, app, app.n_components),
+        "project_appearance": (project_appearance, app, app.n_features),
+    }[call]
+    x = np.zeros(n)
+    x[rng.integers(n)] = bad
+    with pytest.raises(DimensionError, match="non-finite"):
+        fn(model, x)

@@ -415,7 +415,8 @@ class TestNewtonTermsBidirectional:
         terms, _, J_i, J_a = self._assemble(state, zero_residual=True)
         np.testing.assert_allclose(terms.pq, -J_i.T @ J_a, atol=1e-12)
         A = state.appearance.basis
-        np.testing.assert_allclose(terms.cc, A.T @ A, atol=1e-12)
+        m = A.shape[1]
+        np.testing.assert_allclose(terms.full()[:m, :m], A.T @ A, atol=1e-12)
 
     def test_assembled_hessian_symmetric(self, newton_setup):
         terms, _, _, _ = self._assemble(newton_setup)
@@ -424,14 +425,21 @@ class TestNewtonTermsBidirectional:
 
 
 
-@pytest.mark.parametrize("assembler, poison", [
+_POISONED = [
     *[("asymmetric", name) for name in ("residual", "J_t", "s_i", "s_m")],
     *[("bidirectional", name)
-      for name in ("residual", "J_i", "J_a", "s_i", "s_m")]])
-def test_newton_terms_reject_non_finite_input(rng, assembler, poison):
-    """One NaN in the residual, a Jacobian or one image- or model-side
-    second derivative, on a three-channel state, raises rather than
-    making the assembled Hessian non-finite."""
+      for name in ("residual", "J_i", "J_a", "s_i", "s_m")]]
+
+
+@pytest.mark.parametrize("assembler, poison, bad", [
+    *[pytest.param(a, p, np.nan, id=f"{a}-{p}") for a, p in _POISONED],
+    *[pytest.param(a, p, bad, id=f"{a}-{p}-{bad}")
+      for bad in (np.inf, -np.inf) for a, p in _POISONED]])
+def test_newton_terms_reject_non_finite_input(rng, assembler, poison, bad):
+    """One NaN or inf in the residual, a Jacobian or one image- or
+    model-side second derivative, on a three-channel state, raises
+    rather than making the assembled Hessian non-finite.  No numpy
+    warning escapes (warnings are errors in the test suite)."""
     state = make_toy_state(rng, v=6, n_modes=2, m=2, k=3, radius=6.0)
     frame, dW = state.engine.frame, state.engine.dWdp
     model_vec = appearance_instance(state.appearance, state.c)
@@ -443,7 +451,7 @@ def test_newton_terms_reject_non_finite_input(rng, assembler, poison):
     target = args[poison]
     if poison.startswith("s_"):
         target = target[rng.integers(4)]       # one of xx, xy, yx, yy
-    target.flat[rng.integers(target.size)] = np.nan
+    target.flat[rng.integers(target.size)] = bad
     common = (state.appearance, frame, dW, args["residual"], args["s_i"],
               args["s_m"])
     with pytest.raises(DimensionError, match="non-finite"):

@@ -146,7 +146,6 @@ class TestBuildShapeModel:
         aligned, _, mean = procrustes_align([s, s, s])
         model = build_shape_model(aligned, mean)
         assert model.n_nonrigid == 0
-        assert model.shape_noise == 0.0
 
     def test_full_rank_reconstructs_training_shapes(self):
         # Oracle: with every mode kept, project + synthesize must
@@ -192,30 +191,20 @@ class TestBuildShapeModel:
         with pytest.raises(InsufficientDataError):
             build_shape_model([np.zeros(6)], np.zeros(6))
 
-    def test_variance_ratio_truncation(self):
-        rng = np.random.default_rng(10)
-        shapes = random_shapes(rng, n_shapes=30, v=8)
-        aligned, _, mean = procrustes_align(shapes)
-        full = build_shape_model(aligned, mean)
-        part = build_shape_model(aligned, mean, n_components=0.75)
-        total = full.eigenvalues.sum()
-        kept = part.eigenvalues.sum()
-        assert kept / total >= 0.75
-        if part.n_nonrigid > 1:
-            assert part.eigenvalues[:-1].sum() / total < 0.75
-        # Discarded-mode variance becomes the shape noise estimate.
-        discarded = full.eigenvalues[part.n_nonrigid:]
-        np.testing.assert_allclose(part.shape_noise, discarded.mean(),
-                                   rtol=1e-8)
-
-    @pytest.mark.parametrize("ratio", [np.float32(0.9), np.float64(0.9)],
-                             ids=["float32", "float64"])
-    def test_numpy_float_is_variance_ratio(self, ratio):
+    def test_numpy_integer_count(self):
         rng = np.random.default_rng(10)
         aligned, _, mean = procrustes_align(random_shapes(rng, 30, v=8))
-        plain = build_shape_model(aligned, mean, n_components=0.9)
-        typed = build_shape_model(aligned, mean, n_components=ratio)
-        assert 0 < typed.n_nonrigid == plain.n_nonrigid
+        model = build_shape_model(aligned, mean, n_components=np.int64(3))
+        assert model.n_nonrigid == 3
+
+    @pytest.mark.parametrize("count", [0.75, np.float64(3.0), "3"],
+                             ids=["float", "numpy_float", "str"])
+    def test_non_integer_count_rejected(self, count):
+        # int() would read 0.75 as 0 modes.
+        rng = np.random.default_rng(10)
+        aligned, _, mean = procrustes_align(random_shapes(rng, 30, v=8))
+        with pytest.raises(DimensionError, match="integer"):
+            build_shape_model(aligned, mean, n_components=count)
 
 
 def raw_similarity(mean):

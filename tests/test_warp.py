@@ -52,8 +52,7 @@ class TestBuildReferenceFrame:
         line = np.array([0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0])
         model_like = square_shape_model(4.0)
         bad = type(model_like)(mean=line, basis=model_like.basis,
-                               eigenvalues=model_like.eigenvalues,
-                               shape_noise=0.0)
+                               eigenvalues=model_like.eigenvalues)
         with pytest.raises(DegeneracyError):
             build_reference_frame(bad)
 
@@ -361,8 +360,7 @@ class TestWarpJacobian:
         for v_idx in outside:
             tampered[2 * v_idx:2 * v_idx + 2, :] = 123.0
         hacked = type(model)(mean=model.mean, basis=tampered,
-                             eigenvalues=model.eigenvalues,
-                             shape_noise=model.shape_noise)
+                             eigenvalues=model.eigenvalues)
         dWdp2 = warp_jacobian_identity(hacked, toy_engine.frame, tri)
         np.testing.assert_array_equal(dWdp2[pix], toy_engine.dWdp[pix])
 
@@ -466,7 +464,8 @@ class TestFrameImageSampling:
 
     def test_nan_outside_mask_propagates(self, toy_engine, rng):
         frame = toy_engine.frame
-        grids = frame.to_grid(np.ones(frame.n_pixels), fill=np.nan)
+        grids = frame.to_grid(np.ones(frame.n_pixels))
+        grids[:, ~frame.mask] = np.nan
         cols, rows = np.meshgrid(np.arange(frame.width),
                                  np.arange(frame.height))
         grid_pts = np.column_stack([cols.ravel(), rows.ravel()])
