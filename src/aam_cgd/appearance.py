@@ -69,6 +69,10 @@ def build_appearance_model(warped_images, n_components=None):
     count (capped at the rank, with a warning) or None for full rank.  The
     image noise is the mean discarded eigenvalue, floored at 1e-8 times the
     leading eigenvalue so the Bayesian operator stays well defined.
+
+    The stacked, centred training matrix is the only data-sized array the
+    build makes: with fewer images than values, `pca` forms the basis in
+    its buffer.
     """
     if len(warped_images) < 2:
         raise InsufficientDataError("need at least 2 warped images")
@@ -76,8 +80,9 @@ def build_appearance_model(warped_images, n_components=None):
     # below is the only copy of the training data.
     vecs = [np.asarray(v, dtype=np.float64).reshape(-1)
             for v in warped_images]
-    if any(v.size != vecs[0].size for v in vecs):
-        raise DimensionError("warped vectors have inconsistent lengths")
+    if vecs[0].size == 0 or any(v.size != vecs[0].size for v in vecs):
+        raise DimensionError("warped vectors are empty or have inconsistent "
+                             "lengths")
     X = np.stack(vecs)
     data_mean = X.mean(axis=0)
     # A non-finite pixel makes its column mean non-finite.
@@ -117,12 +122,23 @@ def project_appearance(model, v):
 def project_out(model, r):
     """Apply I - A A^T as two thin products.
 
-    Accepts a vector (F*k,) or a matrix (F*k, n) applied column-wise.
+    Accepts a vector (F*k,) or a matrix (F*k, n) applied column-wise.  The
+    result overwrites the product A (A^T r), so a matrix r costs one
+    (F*k, n) temporary.
     """
+    r = _operand(model, r)
+    out = model.basis @ (model.basis.T @ r)
+    return np.subtract(r, out, out=out)
+
+
+def _operand(model, r):
+    """r as a float64 (k F,) vector or (k F, n) matrix of the model."""
     r = np.asarray(r, dtype=np.float64)
-    if r.shape[0] != model.n_features:
-        raise DimensionError("vector length does not match the model")
-    return r - model.basis @ (model.basis.T @ r)
+    if r.ndim not in (1, 2) or r.shape[0] != model.n_features:
+        raise DimensionError(f"expected a ({model.n_features},) vector or "
+                             f"({model.n_features}, n) matrix, got shape "
+                             f"{r.shape}")
+    return r
 
 
 @dataclass(frozen=True)
@@ -155,9 +171,7 @@ class BpoOperator:
     def apply(self, r):
         """Weight a vector or matrix by the operator (gradient direction
         of the quadratic form)."""
-        r = np.asarray(r, dtype=np.float64)
-        if r.shape[0] != self.model.n_features:
-            raise DimensionError("vector length does not match the model")
+        r = _operand(self.model, r)
         A = self.model.basis
         a = A.T @ r
         ortho = r - A @ a

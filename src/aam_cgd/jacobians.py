@@ -67,6 +67,9 @@ def steepest_descent(grad_x, grad_y, warp_jac):
     Returns (F * k, P): per channel c and pixel f the row
     [gx, gy]_{c,f} @ warp_jac[f], one batched (1, 2) @ (2, P) product.
     """
+    if warp_jac.ndim != 3 or warp_jac.shape[1] != 2:
+        raise DimensionError("warp Jacobian must be an (F, 2, P) array, got "
+                             f"shape {warp_jac.shape}")
     F = warp_jac.shape[0]
     gx, gy = _channels(grad_x, F), _channels(grad_y, F)
     if gx.shape != gy.shape:
@@ -95,6 +98,9 @@ def gn_hessian(J, projector=None):
         BPO: w J^T J + B^T diag(rho / d - w) B
     """
     J = np.asarray(J, dtype=np.float64)
+    if J.ndim != 2:
+        raise DimensionError(f"Jacobian must be a (rows, P) array, got shape "
+                             f"{J.shape}")
     H = J.T @ J
     if projector is not None:
         if isinstance(projector, AppearanceModel):

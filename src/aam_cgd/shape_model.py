@@ -21,6 +21,7 @@ N_SIMILARITY = 4
 PROCRUSTES_MAX_ITERS = 100
 PROCRUSTES_TOL = 1e-10
 PIVOT_TOL = 1e-6      # orthonormalize: smallest pivot / column norm
+_GRAM_BLOCK = 4096    # pca: columns per in-place block, 3.3 MB at m = 100
 
 
 def as_shape(points):
@@ -238,9 +239,18 @@ def pca(X, ref_norm2, n_components, what):
     eigenvalues): the (dim, n_keep) orthonormal modes that `n_components`
     selects (see `_resolve_n_components`), column-major, and every
     eigenvalue above the floor, descending.
+
+    On the Gram side (n_samples < dim) the modes are formed in X's own
+    buffer, so the build holds no second data-sized array: an owned,
+    C-contiguous, writeable float64 X is consumed (cut to its first
+    n_keep rows, which become the returned modes), and the caller must
+    hold no view of it.  Any other X is copied first and left unchanged.
     """
     n_samples, dim = X.shape
     gram_side = n_samples < dim
+    if gram_side:
+        X = np.require(X, np.float64, ["C_CONTIGUOUS", "WRITEABLE",
+                                       "OWNDATA"])
     evals, evecs = np.linalg.eigh(
         (X @ X.T if gram_side else X.T @ X) / (n_samples - 1))
     evals, evecs = evals[::-1], evecs[:, ::-1]
@@ -251,9 +261,16 @@ def pca(X, ref_norm2, n_components, what):
         return np.array(evecs[:, :n_keep], order="F"), evals
     # X^T v_j is mode j up to scale; round-off in the small eigenvectors
     # couples the modes by about eps * top / lambda_j, so re-orthonormalise.
-    # (V^T X)^T: the wide product runs about twice as fast as X^T V, and
-    # it is column-major, so `orthonormalize` overwrites it.
-    return orthonormalize((evecs[:, :n_keep].T @ X).T), evals
+    # Row j of V^T X overwrites row j of X one column block at a time:
+    # block b of the product reads only block b of X, which no earlier
+    # block wrote.  Cutting X to n_keep rows frees the tail, and the
+    # transposed rows are the column-major modes `orthonormalize`
+    # overwrites.
+    Vt = evecs[:, :n_keep].T
+    for j in range(0, dim, _GRAM_BLOCK):
+        X[:n_keep, j:j + _GRAM_BLOCK] = Vt @ X[:, j:j + _GRAM_BLOCK]
+    X.resize((n_keep, dim), refcheck=False)
+    return orthonormalize(X.T), evals
 
 
 def build_shape_model(aligned, mean, n_components=None):

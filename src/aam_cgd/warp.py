@@ -248,12 +248,16 @@ def bilinear_sample(image, positions):
     whose row i holds the weights of the four corners of position i's
     cell at the flat pixel indices y * W + x.  On a 1-pixel side both
     corners along it are that pixel.  Corners of zero weight are stored
-    too, so a NaN pixel at any corner makes the sample NaN.  Non-finite
-    positions raise `DimensionError`.
+    too, so a NaN pixel at any corner makes the sample NaN.  An image of
+    another rank or with an empty axis, and non-finite positions, raise
+    `DimensionError`.
     """
     img = np.asarray(image, dtype=np.float64)
     if img.ndim == 2:
         img = img[:, :, None]
+    if img.ndim != 3 or 0 in img.shape:
+        raise DimensionError("image must be a non-empty (H, W) or (H, W, k) "
+                             f"array, got shape {np.shape(image)}")
     h, w, k = img.shape
     positions = np.asarray(positions, dtype=np.float64)
     if positions.ndim != 2 or positions.shape[1] != 2:
@@ -286,12 +290,9 @@ def warp_to_reference(image, shape, frame, tri):
     `DimensionError`; non-finite pixels elsewhere in the image are not read.
     """
     shape = as_shape(shape)
-    img = np.asarray(image, dtype=np.float64)
-    if img.size == 0:
-        raise DimensionError("empty image")
     if shape.size != 2 * tri.interp.shape[1]:
         raise DimensionError("shape and mesh disagree in landmark count")
-    vec = bilinear_sample(img, tri.interp @ shape_to_points(shape)).T.ravel()
+    vec = bilinear_sample(image, tri.interp @ shape_to_points(shape)).T.ravel()
     if not np.all(np.isfinite(vec)):
         raise DimensionError("non-finite pixel under the warped face")
     return vec

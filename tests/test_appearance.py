@@ -9,9 +9,14 @@ from aam_cgd.appearance import (AppearanceModel, BpoOperator,
                                 appearance_instance, build_appearance_model,
                                 project_appearance, project_out)
 from aam_cgd.errors import ConfigError, DimensionError
-from aam_cgd.shape_model import shape_instance
+from aam_cgd.shape_model import (_GRAM_BLOCK, build_shape_model,
+                                 procrustes_align, shape_instance)
+from aam_cgd.warp import WarpEngine
+from perfbench import synth
 
 from conftest import make_toy_shape_model
+
+BENCH_MODEL_SEED = 20160101     # `MODEL_SEED` of perfbench/bench.py
 
 
 def random_model(rng, dim=40, m=5, n_samples=12, noise=0.0):
@@ -58,6 +63,10 @@ class TestBuildAppearanceModel:
         with pytest.raises(DimensionError):
             build_appearance_model([np.zeros(10), np.zeros(11)])
 
+    def test_empty_vectors_rejected(self):
+        with pytest.raises(DimensionError, match="empty"):
+            build_appearance_model([np.zeros(0), np.zeros(0)])
+
     def test_noise_is_mean_discarded_eigenvalue(self, rng):
         _, data = random_model(rng, dim=50, m=7, n_samples=20)
         full = build_appearance_model(list(data))
@@ -102,18 +111,48 @@ class TestBuildAppearanceModel:
                                           getattr(contiguous, name))
 
     def test_build_peak_memory(self):
-        """Strided inputs are read in place and the basis is orthonormalised
-        in place: the build holds one copy of the training data and one
-        basis, plus a few vectors of the input length."""
+        """Strided inputs are read in place and the basis is formed and
+        orthonormalised in the training matrix's buffer: the build holds
+        one copy of the training data, plus a few vectors of the input
+        length."""
         M = np.random.default_rng(3).standard_normal((30000, 40))
         tracemalloc.start()
         try:
-            model = build_appearance_model(list(M.T), n_components=20)
+            build_appearance_model(list(M.T), n_components=20)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         slack = 6 * M[:, 0].nbytes
-        assert peak <= M.nbytes + model.basis.nbytes + slack
+        assert peak <= M.nbytes + slack
+
+    def test_benchmark_training_set_memory(self):
+        """The benchmark's 6.7k-pixel training set: 130 strided vectors of
+        20,115 values, m = 100.  The build's peak is one copy of the
+        training data plus a few vectors and the in-place block, and the
+        basis keeps only its own (k F, m) of that buffer."""
+        rng = np.random.default_rng(BENCH_MODEL_SEED)
+        aligned, _, mean = procrustes_align(synth.training_shapes(rng))
+        aligned, mean, _ = synth.to_pixels(aligned, mean, 6700)
+        engine = WarpEngine.build(build_shape_model(aligned, mean,
+                                                    n_components=20))
+        vectors = synth.texture_source(rng, engine).sample(
+            rng, synth.N_TRAIN_APPEARANCES)
+        assert len(vectors) == 130 and not vectors[0].flags.contiguous
+        data_bytes = sum(v.nbytes for v in vectors)
+        tracemalloc.start()
+        try:
+            model = build_appearance_model(vectors, n_components=100)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        vector = vectors[0].nbytes
+        block = model.basis[:_GRAM_BLOCK].nbytes     # (m, block) product
+        assert peak <= data_bytes + block + 4 * vector
+        owner = model.basis
+        while owner.base is not None:
+            owner = owner.base
+        assert owner.nbytes == model.basis.nbytes == 100 * vector
+        assert held <= model.basis.nbytes + 2 * vector
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_pixel_rejected(self, rng, bad):
@@ -160,6 +199,22 @@ class TestProjectOut:
         model, _ = random_model(rng)
         with pytest.raises(DimensionError):
             project_out(model, np.zeros(model.n_features + 1))
+
+    def test_matrix_holds_one_temporary(self, rng):
+        """The result overwrites A (A^T r), so projecting a (k F, n) matrix
+        allocates one such array, and its bits are those of
+        r - A (A^T r)."""
+        model, _ = random_model(rng, dim=20000, m=5, n_samples=12)
+        r = rng.standard_normal((model.n_features, 8))
+        want = r - model.basis @ (model.basis.T @ r)
+        tracemalloc.start()
+        try:
+            got = project_out(model, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(got, want)
+        assert peak <= r.nbytes + r[:, 0].nbytes
 
 
 def bpo_cost(op, r):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aam_cgd.appearance import (AppearanceModel, BpoOperator,
-                                appearance_instance)
+                                appearance_instance, project_out)
 from aam_cgd.errors import DimensionError
 from aam_cgd.jacobians import (_adjoint_image, basis_gradient_stack,
                                blend_gradients, gn_hessian, image_gradient,
@@ -276,6 +276,33 @@ class TestGnHessian:
         weight = app if rho is None else BpoOperator(app, rho=rho)
         with pytest.raises(DimensionError):
             gn_hessian(rng.standard_normal((49, 5)), weight)
+
+
+@pytest.mark.parametrize("call", [
+    "gn_hessian_1d", "gn_hessian_3d", "steepest_descent_flat_warp_jac",
+    "steepest_descent_three_rows", "project_out_scalar", "project_out_3d",
+    "bpo_apply_3d"])
+def test_wrong_rank_rejected(toy_engine, rng, call):
+    """Arrays of the wrong rank raise DimensionError, not numpy's
+    ValueError or IndexError, nor a 0-d Hessian."""
+    dW = toy_engine.dWdp
+    F, _, P = dW.shape
+    app = _orthonormal_appearance(rng, 3 * F, 2)
+    g = rng.standard_normal(3 * F)
+    calls = {
+        "gn_hessian_1d": lambda: gn_hessian(g),
+        "gn_hessian_3d": lambda: gn_hessian(g.reshape(3, F, 1)),
+        "steepest_descent_flat_warp_jac": lambda: steepest_descent(
+            g, g, dW.reshape(2 * F, P)),
+        "steepest_descent_three_rows": lambda: steepest_descent(
+            g, g, np.concatenate([dW, dW[:, :1]], axis=1)),
+        "project_out_scalar": lambda: project_out(app, 1.0),
+        "project_out_3d": lambda: project_out(app, g.reshape(3 * F, 1, 1)),
+        "bpo_apply_3d": lambda: BpoOperator(app).apply(
+            g.reshape(3 * F, 1, 1)),
+    }
+    with pytest.raises(DimensionError):
+        calls[call]()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -294,6 +294,31 @@ class TestBasisOrientation:
             model.basis, np.hstack([raw_similarity(mean), modes]))
 
 
+@pytest.mark.parametrize("layout", ["view", "fortran", "float32",
+                                    "read_only"])
+def test_pca_leaves_other_inputs_unchanged(rng, layout):
+    """The Gram side consumes only an owned, C-contiguous, writeable
+    float64 X; any other X is copied, left as it was, and gives the modes
+    of its float64 copy."""
+    X = rng.standard_normal((8, 30))
+    X -= X.mean(axis=0)
+    if layout == "view":
+        X = np.vstack([X, X])[:8]
+    elif layout == "fortran":
+        X = np.asfortranarray(X)
+    elif layout == "float32":
+        X = X.astype(np.float32)
+    else:
+        X.setflags(write=False)
+    before = X.copy()
+    modes, evals = pca(X, 1.0, 5, "shape")
+    np.testing.assert_array_equal(X, before)
+    assert X.shape == before.shape
+    ref_modes, ref_evals = pca(np.array(X, dtype=np.float64), 1.0, 5, "shape")
+    np.testing.assert_array_equal(modes, ref_modes)
+    np.testing.assert_array_equal(evals, ref_evals)
+
+
 class TestInstanceProject:
     @pytest.fixture(scope="class")
     def model(self):

@@ -229,6 +229,14 @@ class TestBilinearSample:
         with pytest.raises(DimensionError):
             bilinear_sample(np.ones((5, 5, 3)), positions)
 
+    @pytest.mark.parametrize("shape", [(25,), (5, 5, 3, 1), (5, 5, 0),
+                                       (0, 5), (5, 0, 3)],
+                             ids=["1d", "4d", "no_channels", "no_rows",
+                                  "no_columns"])
+    def test_malformed_image_rejected(self, shape):
+        with pytest.raises(DimensionError, match="image"):
+            bilinear_sample(np.ones(shape), np.array([[1.5, 2.5]]))
+
 
 class TestWarpToReference:
     def test_identity_warp_recovers_rendered_values(self, toy_engine):
