@@ -1,9 +1,10 @@
 """Linear appearance model with implicit project-out and Bayesian
 project-out operators.
 
-All operators are applied as thin factored products; no F x F matrix is
-ever materialized.  Appearance vectors are channel-major, matching
-`warp.warp_to_reference`.
+Both weight a residual by W = w I + A diag(v) A^T; `cost_weights` is the
+one table of their (A, w, v).  All operators are applied as thin factored
+products; no F x F matrix is ever materialized.  Appearance vectors are
+channel-major, matching `warp.warp_to_reference`.
 """
 
 from dataclasses import dataclass
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, InsufficientDataError
-from .shape_model import _freeze, as_vector, pca
+from .shape_model import _check_linear_model, _freeze, as_vector, pca
 
 SIGMA_FLOOR_REL = 1e-8
 SIGMA_FLOOR_ABS = 1e-12
@@ -43,20 +44,9 @@ class AppearanceModel:
         return self.mean.size
 
     def validate(self):
-        if self.basis.shape[0] != self.mean.size:
-            raise DimensionError("basis rows do not match mean length")
-        m = self.n_components
-        if not np.allclose(self.basis.T @ self.basis, np.eye(m), atol=1e-10):
-            raise DimensionError("appearance basis is not orthonormal")
+        _check_linear_model(self, self.n_components, "appearance")
         if np.max(np.abs(self.basis.T @ self.mean), initial=0.0) > 1e-8:
             raise DimensionError("appearance mean not orthogonal to basis")
-        if self.eigenvalues.size != m:
-            raise DimensionError("eigenvalue count does not match basis")
-        if np.any(self.eigenvalues <= 0):
-            raise DimensionError("appearance eigenvalues must be positive")
-        if np.any(np.diff(self.eigenvalues) > 0):
-            raise DimensionError(
-                "appearance eigenvalues must be sorted descending")
         if not self.image_noise > 0:
             raise DimensionError("image noise must be positive")
         return self
@@ -159,22 +149,29 @@ class BpoOperator:
         if not 0.0 <= self.rho <= 1.0:
             raise ConfigError(f"rho must lie in [0, 1], got {self.rho}")
 
-    @property
-    def d(self):
-        """The diagonal of D: eigenvalues + sigma^2."""
-        return self.model.eigenvalues + self.model.image_noise
-
-    @property
-    def ortho_weight(self):
-        return (1.0 - self.rho) / self.model.image_noise
-
     def apply(self, r):
         """Weight a vector or matrix by the operator (gradient direction
-        of the quadratic form)."""
+        of the quadratic form) as A (v * A^T r) + w r, (A, w, v) from
+        `cost_weights`: a (k F, n) r costs the result and one temporary."""
         r = _operand(self.model, r)
-        A = self.model.basis
+        A, w, v = cost_weights(self)
         a = A.T @ r
-        ortho = r - A @ a
-        scale = self.d[:, None] if r.ndim == 2 else self.d
-        return self.rho * (A @ (a / scale)) + self.ortho_weight * ortho
+        a *= v[:, None] if r.ndim == 2 else v
+        out = A @ a
+        return np.add(out, w * r, out=out)
 
+
+def cost_weights(cost):
+    """(A, w, v) of a cost's weight W = w I + A diag(v) A^T:
+        project-out (an `AppearanceModel`):      (A, 1, -1)
+        Bayesian project-out (a `BpoOperator`):  (A, (1 - rho) / sigma^2,
+                                                  rho / d - w)
+    with d = eigenvalues + sigma^2.  Any other cost raises
+    `DimensionError`."""
+    if isinstance(cost, AppearanceModel):
+        return cost.basis, 1.0, -1.0
+    if isinstance(cost, BpoOperator):
+        A, s2 = cost.model.basis, cost.model.image_noise
+        w = (1.0 - cost.rho) / s2
+        return A, w, cost.rho / (cost.model.eigenvalues + s2) - w
+    raise DimensionError(f"unsupported cost {type(cost)!r}")

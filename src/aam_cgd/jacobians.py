@@ -17,10 +17,11 @@ copy-free (2F, P) view dW of the (F, 2, P) warp Jacobian, so:
 - the residual-weighted curvature is one GEMM dW^T (W dW), with W the
   per-pixel 2 x 2 second-derivative weights (`residual_curvature`).
 
-Project-out (PO) and Bayesian project-out (BPO) Hessians are factored
-through the m x P product B = A^T J: J^T J - B^T B for PO and
-w J^T J + B^T diag(rho / d - w) B for BPO (see `gn_hessian`), so no
-projected (k F, P) copy of J is built.
+Project-out (PO) and Bayesian project-out (BPO) Hessians read their
+weight W = w I + A diag(v) A^T from the one table
+`appearance.cost_weights` and are factored through the m x P product
+B = A^T J as w J^T J + B^T diag(v) B (see `gn_hessian`), so no projected
+(k F, P) copy of J is built.
 """
 
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .appearance import AppearanceModel, BpoOperator
+from .appearance import cost_weights
 from .errors import DimensionError
 from .warp import _channels
 
@@ -67,15 +68,21 @@ def steepest_descent(grad_x, grad_y, warp_jac):
     Returns (F * k, P): per channel c and pixel f the row
     [gx, gy]_{c,f} @ warp_jac[f], one batched (1, 2) @ (2, P) product.
     """
-    if warp_jac.ndim != 3 or warp_jac.shape[1] != 2:
-        raise DimensionError("warp Jacobian must be an (F, 2, P) array, got "
-                             f"shape {warp_jac.shape}")
-    F = warp_jac.shape[0]
+    F, P = _warp_dims(warp_jac)
     gx, gy = _channels(grad_x, F), _channels(grad_y, F)
     if gx.shape != gy.shape:
         raise DimensionError("gradient components disagree in shape")
     g = np.stack([gx, gy], axis=-1)[:, :, None, :]       # (k, F, 1, 2)
-    return np.matmul(g, warp_jac).reshape(-1, warp_jac.shape[-1])
+    return np.matmul(g, warp_jac).reshape(-1, P)
+
+
+def _warp_dims(warp_jac):
+    """(F, P) of an (F, 2, P) warp Jacobian; any other shape raises
+    `DimensionError`."""
+    if warp_jac.ndim != 3 or warp_jac.shape[1] != 2:
+        raise DimensionError("warp Jacobian must be an (F, 2, P) array, got "
+                             f"shape {warp_jac.shape}")
+    return warp_jac.shape[0], warp_jac.shape[2]
 
 
 def blend_gradients(grad_image, grad_model, alpha):
@@ -87,35 +94,27 @@ def blend_gradients(grad_image, grad_model, alpha):
 
 
 @np.errstate(invalid="ignore", over="ignore")   # see the check at the end
-def gn_hessian(J, projector=None):
-    """Gauss-Newton Hessian J^T M J of a (k F, P) Jacobian.
+def gn_hessian(J, cost=None):
+    """Gauss-Newton Hessian J^T W J of a (k F, P) Jacobian.
 
-    M is the identity (`projector` None), the project-out operator
-    I - A A^T (an `AppearanceModel`) or the Bayesian project-out operator
-    rho A D^-1 A^T + w (I - A A^T) (a `BpoOperator`, w its
-    `ortho_weight`).  With B = A^T J both weighted forms need only B:
-        PO:  J^T J - B^T B
-        BPO: w J^T J + B^T diag(rho / d - w) B
+    W is the identity (`cost` None) or the weight w I + A diag(v) A^T of
+    a project-out or Bayesian project-out cost, its (A, w, v) read from
+    the one table `appearance.cost_weights`.  With B = A^T J the weighted
+    form needs only B: w J^T J + B^T diag(v) B, which for project-out
+    (w = 1, v = -1) is J^T J - B^T B.
     """
     J = np.asarray(J, dtype=np.float64)
     if J.ndim != 2:
         raise DimensionError(f"Jacobian must be a (rows, P) array, got shape "
                              f"{J.shape}")
     H = J.T @ J
-    if projector is not None:
-        if isinstance(projector, AppearanceModel):
-            model, w, v = projector, 1.0, -1.0
-        elif isinstance(projector, BpoOperator):
-            model, w = projector.model, projector.ortho_weight
-            v = (projector.rho / projector.d - w)[:, None]
-        else:
-            raise DimensionError(
-                f"unsupported projector {type(projector)!r}")
-        if J.shape[0] != model.n_features:
+    if cost is not None:
+        A, w, v = cost_weights(cost)
+        if J.shape[0] != A.shape[0]:
             raise DimensionError("Jacobian rows do not match the model")
         # (J^T A)^T runs a few percent faster than A^T J at P = 24.
-        B = (J.T @ model.basis).T
-        H = w * H + B.T @ (v * B)
+        B = (J.T @ A).T
+        H = w * H + B.T @ (np.reshape(v, (-1, 1)) * B)
     H = 0.5 * (H + H.T)
     _require_finite(H)
     return H
@@ -137,7 +136,7 @@ def residual_curvature(second, warp_jac, weighted_residual):
     residual times the second derivatives, cross terms symmetrized; over
     the (2F, P) view dW of `warp_jac` the sum is dW^T (W dW).
     """
-    F, _, P = warp_jac.shape
+    F, P = _warp_dims(warp_jac)
     xx, xy, yx, yy = (_channels(g, F) for g in second)
     r = _channels(weighted_residual, F)
     if r.shape != xx.shape:      # einsum would broadcast a single channel
@@ -185,7 +184,7 @@ def _adjoint_image(frame, warp_jac, residual):
     CSR D^T stacked in one CSR matrix give the channel-major U in one
     product.
     """
-    F, _, P = warp_jac.shape
+    F, P = _warp_dims(warp_jac)
     r = _channels(residual, F)
     k = r.shape[0]
     Dt = frame.diff_t                                     # (F, 2F)

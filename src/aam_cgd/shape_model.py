@@ -12,7 +12,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dtrsm
+from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dtrtri
 
 from .errors import DegeneracyError, DimensionError, InsufficientDataError
 
@@ -157,20 +158,26 @@ class ShapeModel:
     def validate(self):
         if self.mean.size % 2 != 0 or self.mean.size < 6:
             raise DimensionError("invalid mean shape length")
-        if self.basis.shape[0] != self.mean.size:
-            raise DimensionError("basis rows do not match mean length")
         if self.basis.shape[1] < N_SIMILARITY:
             raise DimensionError("basis must include 4 similarity columns")
-        gram = self.basis.T @ self.basis
-        if not np.allclose(gram, np.eye(self.n_params), atol=1e-10):
-            raise DimensionError("shape basis is not orthonormal")
-        if self.eigenvalues.size != self.n_nonrigid:
-            raise DimensionError("eigenvalue count does not match basis")
-        if np.any(self.eigenvalues <= 0):
-            raise DimensionError("shape eigenvalues must be positive")
-        if np.any(np.diff(self.eigenvalues) > 0):
-            raise DimensionError("shape eigenvalues must be sorted descending")
+        _check_linear_model(self, self.n_nonrigid, "shape")
         return self
+
+
+def _check_linear_model(model, n_modes, what):
+    """The rules the shape and appearance models share: the basis has the
+    mean's rows and orthonormal columns (to 1e-10), and its `n_modes`
+    eigenvalues are positive and descending."""
+    basis, evals = model.basis, model.eigenvalues
+    if basis.shape[0] != model.mean.size:
+        raise DimensionError(f"{what} basis rows do not match mean length")
+    if not np.allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-10):
+        raise DimensionError(f"{what} basis is not orthonormal")
+    if evals.size != n_modes:
+        raise DimensionError(f"{what} eigenvalue count does not match basis")
+    if not (np.all(evals > 0) and np.all(np.diff(evals) <= 0)):
+        raise DimensionError(f"{what} eigenvalues must be positive, sorted "
+                             "descending")
 
 
 def _freeze(*arrays):
@@ -210,10 +217,10 @@ def orthonormalize(C):
     fails on them or leaves a round-off pivot, about sqrt(eps) = 1.5e-8
     of the column's norm, which `PIVOT_TOL` rejects.
 
-    Q is column-major, formed by one triangular solve in place.  A
-    writeable, column-major float64 C is overwritten and returned as Q,
-    so no second (dim, n) array is made; any other C is copied first and
-    left unchanged.
+    Q is column-major, formed in place by one triangular multiply with
+    the small inverse L^-T.  A writeable, column-major float64 C is
+    overwritten and returned as Q, so no second (dim, n) array is made;
+    any other C is copied first and left unchanged.
     """
     gram = C.T @ C
     try:
@@ -226,7 +233,8 @@ def orthonormalize(C):
         raise DegeneracyError("cannot orthonormalize linearly dependent "
                               "columns")
     Q = np.require(C, np.float64, ["F_CONTIGUOUS", "WRITEABLE"])
-    return dtrsm(1.0, L, Q, side=1, lower=1, trans_a=1, overwrite_b=1)
+    L_inv = dtrtri(L, lower=1)[0]     # info is 0: the pivots are positive
+    return dtrmm(1.0, L_inv, Q, side=1, lower=1, trans_a=1, overwrite_b=1)
 
 
 def pca(X, ref_norm2, n_components, what):

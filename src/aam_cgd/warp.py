@@ -62,7 +62,7 @@ class ReferenceFrame:
         if int(self.mask.sum()) != F:
             raise DimensionError("mask does not match pixel count")
         idx = self.index_grid[self.mask]
-        if sorted(idx.tolist()) != list(range(F)):
+        if not np.array_equal(np.sort(idx), np.arange(F)):
             raise DimensionError("pixel index is not a bijection onto 0..F-1")
         return self
 
@@ -336,11 +336,6 @@ def compose(model, tri, p, dp):
     ds = (model.basis @ dp).reshape(-1, 2)
     moved = cur + np.einsum("vab,va->vb", jac_t, ds)
     return project_shape(model, moved.ravel())
-
-
-def invert_increment(dp):
-    """First-order inverse of an incremental warp."""
-    return -np.asarray(dp, dtype=np.float64).ravel()
 
 
 @dataclass(frozen=True)

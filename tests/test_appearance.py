@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -284,6 +285,27 @@ class TestBpo:
         expected = 0.5 / model.image_noise * float(po @ po)
         np.testing.assert_allclose(cost, expected, rtol=1e-4)
 
+    def test_matrix_holds_one_temporary(self, rng):
+        """A (v * A^T r) + w r: applying the operator to a (k F, n) matrix
+        allocates the result and one array of the same size."""
+        model, _ = random_model(rng, dim=20000, m=5, n_samples=12,
+                                noise=0.05)
+        op = BpoOperator(model, rho=0.4)
+        r = rng.standard_normal((model.n_features, 8))
+        A, s2 = model.basis, model.image_noise
+        a = A.T @ r
+        want = (0.4 * A @ (a / (model.eigenvalues + s2)[:, None])
+                + 0.6 / s2 * (r - A @ a))
+        tracemalloc.start()
+        try:
+            got = op.apply(r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(got, want, rtol=1e-10,
+                                   atol=1e-12 * np.abs(want).max())
+        assert peak <= 2 * r.nbytes + r[:, 0].nbytes
+
     def test_matrix_apply_matches_columnwise(self, rng):
         model, _ = random_model(rng, noise=0.05)
         op = BpoOperator(model, rho=0.4)
@@ -338,3 +360,25 @@ def test_non_finite_input_rejected(rng, call, bad):
     x[rng.integers(n)] = bad
     with pytest.raises(DimensionError, match="non-finite"):
         fn(model, x)
+
+
+@pytest.mark.parametrize("defect", ["rows", "not_orthonormal", "count",
+                                    "non_positive", "ascending", "nan"])
+@pytest.mark.parametrize("kind", ["shape", "appearance"])
+def test_linear_model_rules_shared(rng, kind, defect):
+    """Both models reject the same defects of their basis and eigenvalues,
+    naming the model in the DimensionError."""
+    model = (make_toy_shape_model(rng) if kind == "shape"
+             else random_model(rng)[0])
+    evals = model.eigenvalues
+    change = {
+        "rows": {"basis": model.basis[:-2]},
+        "not_orthonormal": {"basis": 1.01 * model.basis},
+        "count": {"eigenvalues": evals[:-1]},
+        "non_positive": {"eigenvalues": evals - evals[-1]},
+        "ascending": {"eigenvalues": evals[::-1]},
+        "nan": {"eigenvalues": np.append(np.nan, evals[1:])},
+    }[defect]
+    model.validate()
+    with pytest.raises(DimensionError, match=kind):
+        replace(model, **change).validate()

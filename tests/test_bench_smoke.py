@@ -8,7 +8,8 @@ verdict.  `newton_sd` runs on the 6.7k-pixel frame, `po_ic_hd` and
 that runs `gn_hessian` and `project_out` on every step.  A traced run
 (`--trace 1`) looks up every layer it times by name, so it fails when a
 traced library function is renamed or deleted; `newton_sd` runs once
-more that way.
+more that way.  All four are marked `slow`: `pytest -m "not slow"` skips
+them for a fast inner loop.
 """
 
 import json
@@ -32,11 +33,13 @@ def run_benchmark(workload, trace=0):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("workload", ["newton_sd", "po_ic_hd", "po_asym_hd"])
 def test_benchmark_runs_and_is_correct(workload):
     assert run_benchmark(workload)["correct"] is True
 
 
+@pytest.mark.slow
 def test_traced_benchmark_resolves_every_layer():
     verdict = run_benchmark("newton_sd", trace=1)
     assert verdict["correct"] is True

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from aam_cgd.appearance import (AppearanceModel, BpoOperator,
-                                appearance_instance, project_out)
+                                appearance_instance, cost_weights,
+                                project_out)
 from aam_cgd.errors import DimensionError
 from aam_cgd.jacobians import (_adjoint_image, basis_gradient_stack,
                                blend_gradients, gn_hessian, image_gradient,
@@ -210,9 +211,7 @@ class TestGnHessian:
         app = _random_appearance(rng, dim=50, m=3)
         op = BpoOperator(app, rho=0.4)
         J = rng.standard_normal((50, 5))
-        A, d = app.basis, op.d
-        dense = (0.4 * A @ np.diag(1.0 / d) @ A.T
-                 + op.ortho_weight * (np.eye(50) - A @ A.T))
+        dense = _dense_bpo(app, 0.4)
         np.testing.assert_allclose(gn_hessian(J, op), J.T @ dense @ J,
                                    atol=1e-9)
 
@@ -223,13 +222,15 @@ class TestGnHessian:
             w = np.linalg.eigvalsh(gn_hessian(J, app))
             assert w.min() >= -1e-10
 
-    @pytest.mark.parametrize("rho", [None, 0.4])
+    @pytest.mark.parametrize("rho", [None, 0.0, 0.4, 0.5, 1.0])
     def test_in_span_dominant_jacobian(self, rng, rho):
         """J = A X + 1e-3 N: J^T J exceeds its projected part
         J^T (I - A A^T) J by about 1e5, so J^T J - B^T B cancels.  Both
         the factored form and the dense product carry an error of a few
         eps * |J^T J| * ||M||, M the weight; the tolerance is 100 times
-        that, about 1e-9 of the PO Hessian here."""
+        that, about 1e-9 of the PO Hessian here.  The (A, w, v) of
+        `cost_weights` give the dense weight w I + A diag(v) A^T, and
+        `BpoOperator.apply` its product with J."""
         dim, m, P = 80, 4, 6
         app = _orthonormal_appearance(rng, dim, m)
         A = app.basis
@@ -239,16 +240,23 @@ class TestGnHessian:
         if rho is None:
             weight, dense = app, ortho
         else:
-            weight = BpoOperator(app, rho=rho)
-            dense = (rho * A @ np.diag(1.0 / weight.d) @ A.T
-                     + weight.ortho_weight * ortho)
+            weight, dense = BpoOperator(app, rho=rho), _dense_bpo(app, rho)
+        eps = np.finfo(float).eps
+        A_w, w, v = cost_weights(weight)
+        np.testing.assert_allclose(
+            w * np.eye(dim) + A_w @ np.diag(np.broadcast_to(v, m)) @ A_w.T,
+            dense, rtol=0, atol=100 * eps * np.abs(dense).max())
+        if rho is not None:
+            np.testing.assert_allclose(
+                weight.apply(J), dense @ J, rtol=0,
+                atol=100 * eps * np.linalg.norm(dense, 2)
+                * np.linalg.norm(J, axis=0).max())
         H = gn_hessian(J, weight)
         ref = J.T @ dense @ J
         gram = np.abs(J.T @ J).max()
         assert gram > 1e4 * np.abs(J.T @ ortho @ J).max()
         scale = gram * np.linalg.norm(dense, 2)
-        np.testing.assert_allclose(H, ref, rtol=0,
-                                   atol=100 * np.finfo(float).eps * scale)
+        np.testing.assert_allclose(H, ref, rtol=0, atol=100 * eps * scale)
         np.testing.assert_array_equal(H, H.T)
         w = np.linalg.eigvalsh(H)
         assert w.min() >= -1e-10 * w.max()
@@ -258,7 +266,7 @@ class TestGnHessian:
         op = BpoOperator(app, rho=0.0)
         J = rng.standard_normal((50, 5))
         np.testing.assert_allclose(gn_hessian(J, op),
-                                   op.ortho_weight * gn_hessian(J, app),
+                                   gn_hessian(J, app) / app.image_noise,
                                    rtol=1e-12)
 
     def test_bpo_rho_one_is_in_span_term(self, rng):
@@ -266,9 +274,9 @@ class TestGnHessian:
         op = BpoOperator(app, rho=1.0)
         J = rng.standard_normal((50, 5))
         B = app.basis.T @ J
+        d = app.eigenvalues + app.image_noise
         np.testing.assert_allclose(gn_hessian(J, op),
-                                   B.T @ np.diag(1.0 / op.d) @ B,
-                                   rtol=1e-12)
+                                   B.T @ np.diag(1.0 / d) @ B, rtol=1e-12)
 
     @pytest.mark.parametrize("rho", [None, 0.4])
     def test_rows_must_match_model(self, rng, rho):
@@ -277,10 +285,15 @@ class TestGnHessian:
         with pytest.raises(DimensionError):
             gn_hessian(rng.standard_normal((49, 5)), weight)
 
+    def test_unsupported_cost_rejected(self, rng):
+        with pytest.raises(DimensionError, match="unsupported cost"):
+            gn_hessian(rng.standard_normal((50, 5)), "po")
+
 
 @pytest.mark.parametrize("call", [
     "gn_hessian_1d", "gn_hessian_3d", "steepest_descent_flat_warp_jac",
-    "steepest_descent_three_rows", "project_out_scalar", "project_out_3d",
+    "steepest_descent_three_rows", "residual_curvature_flat_warp_jac",
+    "adjoint_image_flat_warp_jac", "project_out_scalar", "project_out_3d",
     "bpo_apply_3d"])
 def test_wrong_rank_rejected(toy_engine, rng, call):
     """Arrays of the wrong rank raise DimensionError, not numpy's
@@ -296,6 +309,10 @@ def test_wrong_rank_rejected(toy_engine, rng, call):
             g, g, dW.reshape(2 * F, P)),
         "steepest_descent_three_rows": lambda: steepest_descent(
             g, g, np.concatenate([dW, dW[:, :1]], axis=1)),
+        "residual_curvature_flat_warp_jac": lambda: residual_curvature(
+            second_gradient(g, toy_engine.frame), dW.reshape(2 * F, P), g),
+        "adjoint_image_flat_warp_jac": lambda: _adjoint_image(
+            toy_engine.frame, dW.reshape(2 * F, P), g),
         "project_out_scalar": lambda: project_out(app, 1.0),
         "project_out_3d": lambda: project_out(app, g.reshape(3 * F, 1, 1)),
         "bpo_apply_3d": lambda: BpoOperator(app).apply(
@@ -319,6 +336,15 @@ def test_gn_hessian_rejects_non_finite_jacobian(rng, rho, bad):
         warnings.simplefilter("error")
         with pytest.raises(DimensionError, match="non-finite"):
             gn_hessian(J, weight)
+
+
+def _dense_bpo(app, rho):
+    """The dense Bayesian project-out weight
+    rho A D^-1 A^T + ((1 - rho) / sigma^2) (I - A A^T)."""
+    A, s2 = app.basis, app.image_noise
+    ortho = np.eye(A.shape[0]) - A @ A.T
+    return (rho * A @ np.diag(1.0 / (app.eigenvalues + s2)) @ A.T
+            + (1.0 - rho) / s2 * ortho)
 
 
 def _orthonormal_appearance(rng, dim, m):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +8,7 @@ from aam_cgd.errors import DegeneracyError, DimensionError
 from aam_cgd.shape_model import (build_shape_model, project_shape,
                                  shape_instance, shape_to_points)
 from aam_cgd.warp import (BARYCENTRIC_TOL, WarpEngine, bilinear_sample,
-                          build_reference_frame, compose, invert_increment,
+                          build_reference_frame, compose,
                           rasterize_barycentric, sample_frame_image,
                           warp_jacobian_identity, warp_to_reference)
 
@@ -69,6 +70,15 @@ class TestBuildReferenceFrame:
             mean=np.array([0.0, 0.0, 10.0, 0.0, 5.0, 1e-12, 5.0, 5.0]))
         with pytest.raises(DegeneracyError):
             build_reference_frame(sliver)
+
+    def test_pixel_index_must_be_a_bijection(self, toy_engine):
+        frame = toy_engine.frame
+        grid = frame.index_grid.copy()
+        grid[frame.mask] = np.roll(grid[frame.mask], 1)   # a permutation
+        replace(frame, index_grid=grid).validate()
+        grid[grid == 0] = 1
+        with pytest.raises(DimensionError, match="bijection"):
+            replace(frame, index_grid=grid).validate()
 
     def test_landmark_in_no_triangle_rejected(self):
         # A repeated corner lies in no triangle, so `compose` could not
@@ -426,8 +436,7 @@ class TestCompose:
         for h in (0.2, 0.1, 0.05):
             step = h * dp
             back = compose(model, engine.tri,
-                           compose(model, engine.tri, p, step),
-                           invert_increment(step))
+                           compose(model, engine.tri, p, step), -step)
             errors.append(np.linalg.norm(back - p))
         assert errors[1] < 0.35 * errors[0]
         assert errors[2] < 0.35 * errors[1]
@@ -449,17 +458,6 @@ class TestCompose:
         with pytest.raises(DimensionError):
             compose(toy_engine.model, toy_engine.tri, np.zeros(n + 1),
                     np.zeros(n))
-
-
-class TestInvertIncrement:
-    def test_zero(self):
-        np.testing.assert_array_equal(invert_increment(np.zeros(5)),
-                                      np.zeros(5))
-
-    def test_involution(self, rng):
-        dp = rng.standard_normal(9)
-        np.testing.assert_array_equal(invert_increment(invert_increment(dp)),
-                                      dp)
 
 
 class TestFrameImageSampling:
