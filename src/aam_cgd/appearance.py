@@ -1,15 +1,17 @@
-"""Linear appearance model with implicit project-out and Bayesian
-project-out operators.
+"""Linear appearance model and the weights of the project-out (PO) and
+Bayesian project-out (BPO) costs.
 
-Both weight a residual by W = w I + A diag(v) A^T; `cost_weights` is the
-one table of their (A, w, v).  All operators are applied as thin factored
-products; no F x F matrix is ever materialized.  Appearance vectors are
-channel-major, matching `warp.warp_to_reference`.
+Both costs weight a residual by W = w I + A diag(v) A^T; `cost_weights`
+is the one table of their (A, w, v), and `project_out` applies either W
+as thin factored products, so no F x F matrix is ever materialized.  A
+BPO cost is plain data, `BpoOperator` (model and rho).  Appearance
+vectors are channel-major, matching `warp.warp_to_reference`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import daxpy
 
 from .errors import ConfigError, DimensionError, InsufficientDataError
 from .shape_model import _check_linear_model, _freeze, as_vector, pca
@@ -109,37 +111,42 @@ def project_appearance(model, v):
     return model.basis.T @ (v - model.mean)
 
 
-def project_out(model, r):
-    """Apply I - A A^T as two thin products.
+def project_out(cost, r):
+    """Weight r by a cost's W = w I + A diag(v) A^T, (A, w, v) from
+    `cost_weights`: I - A A^T for project-out (an `AppearanceModel`),
+    the Bayesian project-out weight for a `BpoOperator`.  W r is half the
+    gradient of the cost's quadratic form r^T W r.
 
-    Accepts a vector (F*k,) or a matrix (F*k, n) applied column-wise.  The
-    result overwrites the product A (A^T r), so a matrix r costs one
-    (F*k, n) temporary.
+    Accepts a vector (k F,) or a matrix (k F, n) applied column-wise.  The
+    result is formed in the product A (v * A^T r), and w r is added to it
+    in place (BLAS daxpy), so a matrix r costs one (k F, n) array, the
+    result.
     """
-    r = _operand(model, r)
-    out = model.basis @ (model.basis.T @ r)
-    return np.subtract(r, out, out=out)
-
-
-def _operand(model, r):
-    """r as a float64 (k F,) vector or (k F, n) matrix of the model."""
+    A, w, v = cost_weights(cost)
     r = np.asarray(r, dtype=np.float64)
-    if r.ndim not in (1, 2) or r.shape[0] != model.n_features:
-        raise DimensionError(f"expected a ({model.n_features},) vector or "
-                             f"({model.n_features}, n) matrix, got shape "
+    if r.ndim not in (1, 2) or r.shape[0] != A.shape[0]:
+        raise DimensionError(f"expected a ({A.shape[0]},) vector or "
+                             f"({A.shape[0]}, n) matrix, got shape "
                              f"{r.shape}")
-    return r
+    a = A.T @ r
+    np.multiply(a.T, v, out=a.T)
+    out = A @ a
+    if out.size:                # daxpy rejects empty vectors
+        daxpy(r.reshape(-1), out.reshape(-1), a=w)
+    return out
 
 
 @dataclass(frozen=True)
 class BpoOperator:
-    """Weighted Bayesian project-out quadratic form.
+    """The Bayesian project-out cost: an appearance model and a weight
+    rho in [0, 1].
 
-    The quadratic form is
+    Its quadratic form is
         rho * ||A^T r||^2_{D^-1} + ((1 - rho) / sigma^2) * ||(I - A A^T) r||^2
-    with D = diag(eigenvalues + sigma^2).  rho = 0 recovers the classic
-    project-out loss scaled by 1 / sigma^2; rho = 0.5 recovers half of the
-    marginal-likelihood quadratic form.
+    with D = diag(eigenvalues + sigma^2), r^T W r for the W of
+    `cost_weights`; `project_out` applies W.  rho = 0 recovers the
+    classic project-out loss scaled by 1 / sigma^2; rho = 0.5 recovers
+    half of the marginal-likelihood quadratic form.
     """
 
     model: AppearanceModel
@@ -148,17 +155,6 @@ class BpoOperator:
     def __post_init__(self):
         if not 0.0 <= self.rho <= 1.0:
             raise ConfigError(f"rho must lie in [0, 1], got {self.rho}")
-
-    def apply(self, r):
-        """Weight a vector or matrix by the operator (gradient direction
-        of the quadratic form) as A (v * A^T r) + w r, (A, w, v) from
-        `cost_weights`: a (k F, n) r costs the result and one temporary."""
-        r = _operand(self.model, r)
-        A, w, v = cost_weights(self)
-        a = A.T @ r
-        a *= v[:, None] if r.ndim == 2 else v
-        out = A @ a
-        return np.add(out, w * r, out=out)
 
 
 def cost_weights(cost):

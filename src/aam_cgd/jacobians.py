@@ -22,6 +22,10 @@ weight W = w I + A diag(v) A^T from the one table
 `appearance.cost_weights` and are factored through the m x P product
 B = A^T J as w J^T J + B^T diag(v) B (see `gn_hessian`), so no projected
 (k F, P) copy of J is built.
+
+Both compositions' Newton blocks have one shape, `NewtonTerms`; the
+bidirectional blocks are the asymmetric ones at alpha = 1 (image side)
+and alpha = 0 (model side) plus the cross term -J_i^T J_a.
 """
 
 from dataclasses import dataclass
@@ -154,9 +158,11 @@ def basis_gradient_stack(appearance, frame, warp_jac, residual):
     """Rows J_{a_j}^T r for every appearance basis column a_j.
 
     Returns (m, P): the derivative of each basis column's warped value
-    contracted with the residual, used by the Newton cross blocks.  It is
-    A^T U with U the adjoint image of `_adjoint_image`, so the m columns
-    cost one sparse product and one GEMM.
+    contracted with the residual, the residual-weighted part of the
+    Newton cross block: `newton_terms_asymmetric` gives beta times it
+    minus A^T J_t.
+    It is A^T U with U the adjoint image of `_adjoint_image`, so the m
+    columns cost one sparse product and one GEMM.
     """
     r = _checked_residual(appearance, residual)
     U = _adjoint_image(frame, warp_jac, r)
@@ -200,38 +206,32 @@ def _adjoint_image(frame, warp_jac, residual):
 
 @dataclass(frozen=True)
 class NewtonTerms:
-    """Hessian blocks of the sum-of-squares data term.
+    """Hessian blocks of the sum-of-squares data term over (dc, dx), dx
+    the shape increment: dp for asymmetric composition, (dp, dq) for
+    bidirectional.
 
-    Asymmetric composition uses (cc, cp, pp); bidirectional additionally
-    fills (cq, pq, qq).  Block `cc` = A^T A is the identity, which
+    `cross` is the (m, n_x) block of dc against dx and `xx` the
+    (n_x, n_x) block of dx, so xx - cross^T cross is the Schur complement
+    on dc.  Block cc = A^T A is the identity, which
     `AppearanceModel.validate` guarantees the basis Gram matrix to be to
     1e-10, so it is not stored: `full` fills it in.
     """
 
-    cp: np.ndarray
-    pp: np.ndarray
-    cq: np.ndarray = None
-    pq: np.ndarray = None
-    qq: np.ndarray = None
-
-    @property
-    def bidirectional(self):
-        return self.qq is not None
+    cross: np.ndarray
+    xx: np.ndarray
 
     def full(self):
-        """Assemble the dense symmetric Hessian over (dc, dp[, dq])."""
-        cc = np.eye(self.cp.shape[0])
-        if not self.bidirectional:
-            return np.block([[cc, self.cp], [self.cp.T, self.pp]])
-        return np.block([[cc, self.cp, self.cq],
-                         [self.cp.T, self.pp, self.pq],
-                         [self.cq.T, self.pq.T, self.qq]])
+        """Assemble the dense symmetric Hessian over (dc, dx)."""
+        cross = self.cross
+        return np.block([[np.eye(cross.shape[0]), cross],
+                         [cross.T, self.xx]])
 
 
 @np.errstate(invalid="ignore", over="ignore")   # checked by _require_finite
 def newton_terms_asymmetric(appearance, frame, warp_jac, residual,
                             grad2_image, grad2_model, J_t, alpha):
-    """Second-order blocks for the alpha-blended composition.
+    """Second-order blocks over (dc, dp) for the alpha-blended
+    composition: `cross` (m, P) and `xx` (P, P).
 
     The image side moves with alpha * dp and the model side with
     -(1 - alpha) * dp, so the residual-weighted curvature carries weights
@@ -248,21 +248,21 @@ def newton_terms_asymmetric(appearance, frame, warp_jac, residual,
               for gi, gm in zip(grad2_image, grad2_model)]
     pp = J_t.T @ J_t + residual_curvature(second, warp_jac, r)
     _require_finite(cp, pp)
-    return NewtonTerms(cp=cp, pp=pp)
+    return NewtonTerms(cross=cp, xx=pp)
 
 
-@np.errstate(invalid="ignore", over="ignore")   # checked by _require_finite
 def newton_terms_bidirectional(appearance, frame, warp_jac, residual,
                                grad2_image, grad2_model, J_i, J_a):
-    """Second-order blocks for independent image/model increments."""
-    P = J_i.shape[1]
-    r = _checked_residual(appearance, residual, J_i, J_a)
-    U = _adjoint_image(frame, warp_jac, r)
-    # At 2P = 48 columns A^T X is the faster orientation, unlike at P.
-    cross = appearance.basis.T @ np.hstack([J_i, J_a - U])
-    cp, cq = -cross[:, :P], cross[:, P:]
-    pp = J_i.T @ J_i + residual_curvature(grad2_image, warp_jac, r)
-    qq = J_a.T @ J_a - residual_curvature(grad2_model, warp_jac, r)
+    """Second-order blocks for independent image and model increments
+    (dp, dq): the asymmetric blocks with one side fixed.
+
+    alpha = 1 moves only the image, by dp.  alpha = 0 moves only the
+    model, by -dq, so its cross block changes sign.  The two sides meet
+    in -J_i^T J_a alone: the residual's curvature has no mixed term.
+    """
+    args = (appearance, frame, warp_jac, residual, grad2_image, grad2_model)
+    image = newton_terms_asymmetric(*args, J_i, 1.0)
+    model = newton_terms_asymmetric(*args, J_a, 0.0)
     pq = -J_i.T @ J_a
-    _require_finite(cross, pp, qq, pq)
-    return NewtonTerms(cp=cp, pp=pp, cq=cq, pq=pq, qq=qq)
+    return NewtonTerms(cross=np.hstack([image.cross, -model.cross]),
+                       xx=np.block([[image.xx, pq], [pq.T, model.xx]]))

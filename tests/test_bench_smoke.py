@@ -9,9 +9,11 @@ that runs `gn_hessian` and `project_out` on every step.  A traced run
 (`--trace 1`) looks up every layer it times by name, so it fails when a
 traced library function is renamed or deleted; `newton_sd` runs once
 more that way.  All four are marked `slow`: `pytest -m "not slow"` skips
-them for a fast inner loop.
+them for a fast inner loop, which still runs the benchmark's derivative
+self-tests, so a change to a library call the benchmark makes fails it.
 """
 
+import importlib
 import json
 import subprocess
 import sys
@@ -45,3 +47,12 @@ def test_traced_benchmark_resolves_every_layer():
     assert verdict["correct"] is True
     assert verdict["metrics"]["shape_model.procrustes_align.calls"][
         "value"] > 0
+
+
+def test_selftest_checks_library_calls(monkeypatch):
+    """The benchmark's own derivative checks, in the fast loop: the
+    driver's gradient and Hessian against finite differences for the
+    three workload configurations, through the library's `project_out`,
+    `gn_hessian` and `NewtonTerms.full` (about 0.1 s)."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    importlib.import_module("selftest").run_all()

@@ -230,7 +230,7 @@ class TestGnHessian:
         eps * |J^T J| * ||M||, M the weight; the tolerance is 100 times
         that, about 1e-9 of the PO Hessian here.  The (A, w, v) of
         `cost_weights` give the dense weight w I + A diag(v) A^T, and
-        `BpoOperator.apply` its product with J."""
+        `project_out` its product with J."""
         dim, m, P = 80, 4, 6
         app = _orthonormal_appearance(rng, dim, m)
         A = app.basis
@@ -246,11 +246,10 @@ class TestGnHessian:
         np.testing.assert_allclose(
             w * np.eye(dim) + A_w @ np.diag(np.broadcast_to(v, m)) @ A_w.T,
             dense, rtol=0, atol=100 * eps * np.abs(dense).max())
-        if rho is not None:
-            np.testing.assert_allclose(
-                weight.apply(J), dense @ J, rtol=0,
-                atol=100 * eps * np.linalg.norm(dense, 2)
-                * np.linalg.norm(J, axis=0).max())
+        np.testing.assert_allclose(
+            project_out(weight, J), dense @ J, rtol=0,
+            atol=100 * eps * np.linalg.norm(dense, 2)
+            * np.linalg.norm(J, axis=0).max())
         H = gn_hessian(J, weight)
         ref = J.T @ dense @ J
         gram = np.abs(J.T @ J).max()
@@ -315,8 +314,8 @@ def test_wrong_rank_rejected(toy_engine, rng, call):
             toy_engine.frame, dW.reshape(2 * F, P), g),
         "project_out_scalar": lambda: project_out(app, 1.0),
         "project_out_3d": lambda: project_out(app, g.reshape(3 * F, 1, 1)),
-        "bpo_apply_3d": lambda: BpoOperator(app).apply(
-            g.reshape(3 * F, 1, 1)),
+        "bpo_apply_3d": lambda: project_out(BpoOperator(app),
+                                            g.reshape(3 * F, 1, 1)),
     }
     with pytest.raises(DimensionError):
         calls[call]()
@@ -419,12 +418,39 @@ class TestNewtonTermsAsymmetric:
             second_gradient(appearance_instance(state.appearance, state.c),
                             state.engine.frame),
             J_t, 0.5)
-        np.testing.assert_allclose(zero_terms.pp, J_t.T @ J_t, atol=1e-10)
+        np.testing.assert_allclose(zero_terms.xx, J_t.T @ J_t, atol=1e-10)
 
     def test_assembled_hessian_symmetric(self, newton_setup):
         terms, _, _ = self._assemble(newton_setup, 0.3)
         H = terms.full()
         np.testing.assert_array_equal(H, H.T)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_schur_complement_is_project_out(self, rng, alpha):
+        """The Gauss-Newton (zero-residual) blocks reduced on dc give the
+        project-out Hessian, xx - cross^T cross = J_t^T (I - A A^T) J_t,
+        and the dp part of the full (dc, dp) step is the project-out
+        step; so is the Bayesian project-out step at rho = 0, whose
+        weight is the project-out one over sigma^2."""
+        state = make_toy_state(rng, v=6, n_modes=2, m=2, k=3, radius=6.0)
+        app, frame = state.appearance, state.engine.frame
+        _, r, J_t = self._assemble(state, alpha)
+        terms = newton_terms_asymmetric(
+            app, frame, state.engine.dWdp, np.zeros_like(r),
+            second_gradient(state.i_vec, frame),
+            second_gradient(appearance_instance(app, state.c), frame),
+            J_t, alpha)
+        H_po = gn_hessian(J_t, app)
+        np.testing.assert_allclose(
+            terms.xx - terms.cross.T @ terms.cross, H_po, rtol=0,
+            atol=1e-10 * np.abs(H_po).max())
+        g = np.concatenate([-(app.basis.T @ r), J_t.T @ r])
+        dp = -np.linalg.solve(terms.full(), g)[app.n_components:]
+        for cost in (app, BpoOperator(app, 0.0)):
+            step = -np.linalg.solve(gn_hessian(J_t, cost),
+                                    J_t.T @ project_out(cost, r))
+            np.testing.assert_allclose(dp, step, rtol=0,
+                                       atol=1e-10 * np.abs(step).max())
 
 
 
@@ -466,7 +492,9 @@ class TestNewtonTermsBidirectional:
     def test_zero_residual_cross_block(self, newton_setup):
         state = newton_setup
         terms, _, J_i, J_a = self._assemble(state, zero_residual=True)
-        np.testing.assert_allclose(terms.pq, -J_i.T @ J_a, atol=1e-12)
+        P = J_i.shape[1]
+        np.testing.assert_allclose(terms.xx[:P, P:], -J_i.T @ J_a,
+                                   atol=1e-12)
         A = state.appearance.basis
         m = A.shape[1]
         np.testing.assert_allclose(terms.full()[:m, :m], A.T @ A, atol=1e-12)
@@ -535,7 +563,7 @@ class TestNewtonBlocksMatchDefinitions:
                                    atol=1e-12 * np.abs(ref).max())
 
     def test_asymmetric_blocks(self, setup, rng):
-        """cp and pp of `newton_terms_asymmetric` by definition.  At
+        """cross and xx of `newton_terms_asymmetric` by definition.  At
         alpha = 0.3 the curvature weights alpha^2 and beta^2 differ, so
         swapping the image and model sides fails; at 0.5 it would not."""
         engine, app = setup
@@ -552,7 +580,32 @@ class TestNewtonBlocksMatchDefinitions:
         pp = (J_t.T @ J_t
               + alpha ** 2 * residual_curvature_sum(s_i, dW, r)
               - beta ** 2 * residual_curvature_sum(s_m, dW, r))
-        for got, ref in ((terms.cp, cp), (terms.pp, pp)):
+        for got, ref in ((terms.cross, cp), (terms.xx, pp)):
+            np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref).max())
+
+    def test_bidirectional_blocks(self, setup, rng):
+        """cross and xx of `newton_terms_bidirectional` by definition:
+        cross is [-A^T J_i | A^T J_a - (J_{a_j}^T r)_j], xx carries the
+        image-side curvature on dp, minus the model-side one on dq and
+        -J_i^T J_a between them.  Distinct s_i and s_m, and J_i and J_a,
+        make a swap of the sides or a sign slip in the dq columns fail."""
+        engine, app = setup
+        frame, dW = engine.frame, engine.dWdp
+        A, P = app.basis, dW.shape[2]
+        s_i = second_gradient(rng.standard_normal(app.n_features), frame)
+        s_m = second_gradient(rng.standard_normal(app.n_features), frame)
+        r = rng.standard_normal(app.n_features)
+        J_i, J_a = (rng.standard_normal((r.size, P)) for _ in range(2))
+        terms = newton_terms_bidirectional(app, frame, dW, r, s_i, s_m, J_i,
+                                           J_a)
+        cross = np.hstack([-A.T @ J_i, A.T @ J_a
+                           - basis_gradient_loop(app, frame, dW, r)])
+        pq = -J_i.T @ J_a
+        xx = np.block([
+            [J_i.T @ J_i + residual_curvature_sum(s_i, dW, r), pq],
+            [pq.T, J_a.T @ J_a - residual_curvature_sum(s_m, dW, r)]])
+        for got, ref in ((terms.cross, cross), (terms.xx, xx)):
             np.testing.assert_allclose(got, ref, rtol=1e-12,
                                        atol=1e-12 * np.abs(ref).max())
 
