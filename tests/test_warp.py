@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -226,6 +227,17 @@ class TestBilinearSample:
                                    bilinear_reference(img, positions),
                                    rtol=0.0, atol=1e-15 * scale)
 
+    def test_memory_order_keeps_bits(self, rng):
+        """C-ordered, F-ordered and strided positions sample the same
+        bits."""
+        img = rng.uniform(-50.0, 100.0, size=(9, 7, 3))
+        positions = rng.uniform(-3.0, [10.0, 12.0], size=(300, 2))
+        strided = np.zeros((600, 4))
+        strided[::2, ::3] = positions
+        want = bilinear_sample(img, positions)
+        for pos in (np.asfortranarray(positions), strided[::2, ::3]):
+            np.testing.assert_array_equal(bilinear_sample(img, pos), want)
+
     @pytest.mark.parametrize("positions", [
         np.array([[1.5, 2.5, 0.0], [3.0, 1.0, 0.0]]), np.array([1.5, 2.5])],
         ids=["three_columns", "one_dimensional"])
@@ -297,6 +309,34 @@ class TestWarpToReference:
         F = frame.n_pixels
         np.testing.assert_allclose(vec[:F], 1.0)
         np.testing.assert_allclose(vec[F:], 2.0)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_matches_two_column_placement(self, toy_engine, rng, k):
+        """Placing the pixels by one product per coordinate gives the bits
+        of one product with the (v, 2) landmarks."""
+        model, tri = toy_engine.model, toy_engine.tri
+        img = rng.uniform(size=(30, 30, k)).squeeze()
+        shape = shape_instance(model, 0.5 * rng.standard_normal(
+            model.n_params))
+        want = bilinear_sample(img, tri.interp @ shape_to_points(shape))
+        got = warp_to_reference(img, shape, toy_engine.frame, tri)
+        np.testing.assert_array_equal(got, want.T.ravel())
+
+    def test_holds_few_temporaries(self, rng):
+        """One warp of a three-channel image peaks at no more than 17
+        F-vectors of float64, the result's three among them: the sampling
+        weights and corners are written into the operator's own arrays."""
+        engine = WarpEngine.build(square_shape_model(120.0))
+        F = engine.n_pixels
+        img = rng.uniform(size=(130, 130, 3))
+        tracemalloc.start()
+        try:
+            warp_to_reference(img, engine.model.mean, engine.frame,
+                              engine.tri)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 17 * 8 * F
 
     def test_nan_shape_rejected(self, toy_engine):
         bad = np.array(toy_engine.model.mean)
