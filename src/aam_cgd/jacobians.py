@@ -237,33 +237,18 @@ def newton_terms_asymmetric(appearance, frame, warp_jac, residual,
     -(1 - alpha) * dp, so the residual-weighted curvature carries weights
     alpha^2 and -(1 - alpha)^2 and the appearance cross block gains
     +beta J_A^T r (signs fixed by the finite-difference Hessian oracle).
-    A term of zero weight is skipped: at alpha = 1 the adjoint image is
-    not formed and `grad2_model` not read, at alpha = 0 `grad2_image`.
     """
     beta = 1.0 - alpha
     r = _checked_residual(appearance, residual, J_t)
-    if beta:
-        X = _adjoint_image(frame, warp_jac, beta * r)
-        X -= J_t
-        cp = (X.T @ appearance.basis).T     # as B in `gn_hessian`
-    else:                                   # the adjoint image of 0 r is 0
-        cp = -(J_t.T @ appearance.basis).T
-    # The curvature is linear in the second derivatives: one pass, over
-    # the sides whose weight is not zero.
-    second = [_blend(alpha ** 2, gi, -beta ** 2, gm)
+    X = _adjoint_image(frame, warp_jac, beta * r)
+    X -= J_t
+    cp = (X.T @ appearance.basis).T         # as B in `gn_hessian`
+    # The curvature is linear in the second derivatives: one pass.
+    second = [alpha ** 2 * gi - beta ** 2 * gm
               for gi, gm in zip(grad2_image, grad2_model)]
     pp = J_t.T @ J_t + residual_curvature(second, warp_jac, r)
     _require_finite(cp, pp)
     return NewtonTerms(cross=cp, xx=pp)
-
-
-def _blend(a, x, b, y):
-    """a x + b y, skipping a term whose weight is zero."""
-    if not b:
-        return a * x
-    if not a:
-        return b * y
-    return a * x + b * y
 
 
 def newton_terms_bidirectional(appearance, frame, warp_jac, residual,

@@ -3,7 +3,6 @@ import warnings
 import numpy as np
 import pytest
 
-from aam_cgd import jacobians
 from aam_cgd.appearance import (AppearanceModel, BpoOperator,
                                 appearance_instance, cost_weights,
                                 project_out)
@@ -609,44 +608,6 @@ class TestNewtonBlocksMatchDefinitions:
         for got, ref in ((terms.cross, cross), (terms.xx, xx)):
             np.testing.assert_allclose(got, ref, rtol=1e-12,
                                        atol=1e-12 * np.abs(ref).max())
-
-    def test_one_adjoint_image_per_bidirectional_assembly(self, setup, rng,
-                                                         monkeypatch):
-        """The image side (alpha = 1) weights the adjoint image by
-        beta = 0, so only the model side builds one."""
-        engine, app = setup
-        frame, dW = engine.frame, engine.dWdp
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return _adjoint_image(*args)
-
-        monkeypatch.setattr(jacobians, "_adjoint_image", counted)
-        s = second_gradient(rng.standard_normal(app.n_features), frame)
-        r = rng.standard_normal(app.n_features)
-        J = rng.standard_normal((r.size, dW.shape[2]))
-        newton_terms_bidirectional(app, frame, dW, r, s, s, J, J)
-        assert len(calls) == 1
-
-    def test_image_side_cross_block_is_exact(self, setup, rng):
-        """At alpha = 1 the cross block is -A^T J_t to the last bit, in
-        the asymmetric blocks and in the dp columns of the bidirectional
-        ones."""
-        engine, app = setup
-        frame, dW = engine.frame, engine.dWdp
-        s_i = second_gradient(rng.standard_normal(app.n_features), frame)
-        s_m = second_gradient(rng.standard_normal(app.n_features), frame)
-        r = rng.standard_normal(app.n_features)
-        J_i, J_a = (rng.standard_normal((r.size, dW.shape[2]))
-                    for _ in range(2))
-        want = -(J_i.T @ app.basis).T
-        terms = newton_terms_asymmetric(app, frame, dW, r, s_i, s_m, J_i,
-                                        1.0)
-        np.testing.assert_array_equal(terms.cross, want)
-        terms = newton_terms_bidirectional(app, frame, dW, r, s_i, s_m, J_i,
-                                           J_a)
-        np.testing.assert_array_equal(terms.cross[:, :J_i.shape[1]], want)
 
     def test_adjoint_image(self, setup, rng):
         """The frame stores D^T as a CSR matrix equal to diff.T, and channel
