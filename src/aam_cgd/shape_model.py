@@ -156,8 +156,7 @@ class ShapeModel:
         return self.basis.shape[1]
 
     def validate(self):
-        if self.mean.size % 2 != 0 or self.mean.size < 6:
-            raise DimensionError("invalid mean shape length")
+        as_shape(self.mean)
         if self.basis.shape[1] < N_SIMILARITY:
             raise DimensionError("basis must include 4 similarity columns")
         _check_linear_model(self, self.n_nonrigid, "shape")
@@ -165,12 +164,11 @@ class ShapeModel:
 
 
 def _check_linear_model(model, n_modes, what):
-    """The rules the shape and appearance models share: the basis has the
-    mean's rows and orthonormal columns (to 1e-10), and its `n_modes`
-    eigenvalues are positive and descending."""
+    """The rules the shape and appearance models share: the mean is
+    finite, with the basis's rows; the basis has orthonormal columns (to
+    1e-10), and its `n_modes` eigenvalues are positive and descending."""
     basis, evals = model.basis, model.eigenvalues
-    if basis.shape[0] != model.mean.size:
-        raise DimensionError(f"{what} basis rows do not match mean length")
+    as_vector(model.mean, basis.shape[0], f"{what} mean values")
     if not np.allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-10):
         raise DimensionError(f"{what} basis is not orthonormal")
     if evals.size != n_modes:
@@ -233,7 +231,9 @@ def orthonormalize(C):
         raise DegeneracyError("cannot orthonormalize linearly dependent "
                               "columns")
     Q = np.require(C, np.float64, ["F_CONTIGUOUS", "WRITEABLE"])
-    L_inv = dtrtri(L, lower=1)[0]     # info is 0: the pivots are positive
+    if Q.shape[1] == 0:               # LAPACK rejects a 0 x 0 factor
+        return Q
+    L_inv = dtrtri(L, lower=1)[0]     # info is 0: L is non-empty, pivots > 0
     return dtrmm(1.0, L_inv, Q, side=1, lower=1, trans_a=1, overwrite_b=1)
 
 
@@ -316,8 +316,5 @@ def shape_instance(model, p):
 
 def project_shape(model, s):
     """Least-squares parameters basis.T @ (s - mean)."""
-    s = as_shape(s)
-    if s.size != model.mean.size:
-        raise DimensionError(
-            f"expected shape length {model.mean.size}, got {s.size}")
+    s = as_vector(s, model.mean.size, "shape coordinates")
     return model.basis.T @ (s - model.mean)

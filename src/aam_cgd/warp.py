@@ -1,9 +1,12 @@
 """Piecewise-affine motion model on a Delaunay-triangulated reference frame.
 
 The reference frame is the integer pixel grid covering the mean shape.
-Frame positions are expressed in the mean shape's coordinate system
-(x = column + x-origin, y = row + y-origin); images use array coordinates
-where position (x, y) reads pixels[int(y), int(x)].
+Its `mask` alone fixes the pixel order: pixel i is the mask's i-th True
+entry in row-major order, so a frame vector is `grid[mask]` and
+`to_grid` scatters it back.  Frame positions are expressed in the mean
+shape's coordinate system (x = column + x-origin, y = row + y-origin);
+images use array coordinates where position (x, y) reads
+pixels[int(y), int(x)].
 
 Warping an image onto the frame is three sparse products.  The warp is
 linear in the landmarks: `Triangulation.interp` is a sparse (F, n_points)
@@ -35,21 +38,21 @@ from scipy.sparse import csr_matrix
 from scipy.spatial import Delaunay, QhullError
 
 from .errors import DegeneracyError, DimensionError
-from .shape_model import (as_shape, project_shape, shape_instance,
-                          shape_to_points)
+from .shape_model import as_vector, project_shape, shape_to_points
 
 BARYCENTRIC_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class ReferenceFrame:
-    """Masked pixel grid over the mean shape's convex hull."""
+    """Masked pixel grid over the mean shape's convex hull.  Pixel i is
+    the i-th True entry of `mask` in row-major order, in every per-pixel
+    array and frame vector."""
 
     width: int
     height: int
     origin: np.ndarray       # (2,) x/y offset of pixel (row=0, col=0)
-    mask: np.ndarray         # (height, width) bool
-    index_grid: np.ndarray   # (height, width) dense index or -1
+    mask: np.ndarray         # (height, width) bool, holds the pixel order
     positions: np.ndarray    # (F, 2) masked pixel positions, mean coords
     neighbors: np.ndarray    # (F, 4) dense index of -x, +x, -y, +y or -1
     diff: csr_matrix         # (2F, F) row 2f + a: derivative along axis a
@@ -66,9 +69,6 @@ class ReferenceFrame:
             raise DimensionError("reference frame has no masked pixels")
         if int(self.mask.sum()) != F:
             raise DimensionError("mask does not match pixel count")
-        idx = self.index_grid[self.mask]
-        if not np.array_equal(np.sort(idx), np.arange(F)):
-            raise DimensionError("pixel index is not a bijection onto 0..F-1")
         return self
 
     def to_grid(self, vec):
@@ -203,8 +203,6 @@ def build_reference_frame(model):
     F = int(inside.sum())
     if F == 0:
         raise DegeneracyError("mean shape covers no pixels; rescale it")
-    index_grid = np.full((height, width), -1, dtype=np.int64)
-    index_grid[mask] = np.arange(F)
     positions = queries[inside]
 
     # transform[s] = (T, r): coordinates T @ (x - r), then 1 - their sum.
@@ -226,19 +224,19 @@ def build_reference_frame(model):
     landmark_grad = csr_matrix((vals.ravel(), (row.ravel(), col.ravel())),
                                shape=(2 * v, v))
 
-    rr, cc = np.nonzero(mask)
-    neighbors = np.full((F, 4), -1, dtype=np.int64)
-    for axis, (dr, dc) in enumerate(
-            [(0, -1), (0, 1), (-1, 0), (1, 0)]):  # -x, +x, -y, +y
-        r2, c2 = rr + dr, cc + dc
-        ok = (r2 >= 0) & (r2 < height) & (c2 >= 0) & (c2 < width)
-        neighbors[ok, axis] = index_grid[r2[ok], c2[ok]]
+    # Pixel indices on the grid padded by one point of -1: its shifted
+    # slices, read at the mask, give each pixel's four neighbours.
+    index = np.full((height + 2, width + 2), -1, dtype=np.int64)
+    index[1:-1, 1:-1][mask] = np.arange(F)
+    neighbors = np.column_stack([
+        index[1:-1, :-2][mask], index[1:-1, 2:][mask],     # -x, +x
+        index[:-2, 1:-1][mask], index[2:, 1:-1][mask]])    # -y, +y
 
     origin = np.array([x0, y0], dtype=np.float64)
     diff = _difference_operator(neighbors)
     frame = ReferenceFrame(
         width=width, height=height, origin=origin, mask=mask,
-        index_grid=index_grid, positions=positions, neighbors=neighbors,
+        positions=positions, neighbors=neighbors,
         diff=diff, diff_t=diff.T.tocsr())
     tri = Triangulation(triangles=triangles, interp=interp,
                         landmark_grad=landmark_grad)
@@ -318,9 +316,7 @@ def warp_to_reference(image, shape, frame, tri):
     sampled value, such as a NaN pixel under the face, raises
     `DimensionError`; non-finite pixels elsewhere in the image are not read.
     """
-    shape = as_shape(shape)
-    if shape.size != 2 * tri.interp.shape[1]:
-        raise DimensionError("shape and mesh disagree in landmark count")
+    shape = as_vector(shape, 2 * tri.interp.shape[1], "shape coordinates")
     x, y = shape_to_points(shape).T
     positions = np.array([tri.interp @ x, tri.interp @ y]).T  # see module doc
     vec = bilinear_sample(image, positions).T.ravel()
@@ -341,9 +337,10 @@ def sample_frame_image(grids, frame, positions):
     return bilinear_sample(np.moveaxis(grids, 0, -1), array_pos)
 
 
-def warp_jacobian_identity(model, frame, tri):
+def warp_jacobian_identity(model, tri):
     """Derivative of warped pixel positions w.r.t. the shape parameters,
-    evaluated at the identity warp.  Returns (F, 2, n_params)."""
+    (F, 2, n_params): the warp is linear in the landmarks, so this is
+    `interp` applied to the shape basis, the same at every p."""
     P = model.basis.shape[1]   # row v of the (v, 2P) view: x row, y row
     return (tri.interp @ model.basis.reshape(-1, 2 * P)).reshape(-1, 2, P)
 
@@ -354,15 +351,14 @@ def compose(model, tri, p, dp):
     Each mean landmark's offset under dp (basis @ dp) is transported into
     the current shape by the current warp's Jacobian averaged over the
     landmark's triangles (`Triangulation.landmark_grad`); the moved
-    landmarks are projected back onto the model.
+    landmarks are projected back onto the model.  A p or dp that is not
+    n_params finite values raises `DimensionError`.
     """
-    p = np.asarray(p, dtype=np.float64).ravel()
-    dp = np.asarray(dp, dtype=np.float64).ravel()
-    if p.size != model.n_params or dp.size != model.n_params:
-        raise DimensionError("parameter vectors must have length n_params")
+    p = as_vector(p, model.n_params, "shape parameters")
+    dp = as_vector(dp, model.n_params, "shape increment")
     if not dp.any():
         return p.copy()
-    cur = shape_to_points(shape_instance(model, p))
+    cur = shape_to_points(model.mean + model.basis @ p)
     jac_t = (tri.landmark_grad @ cur).reshape(-1, 2, 2)   # [u, a, b] = db/da
     ds = (model.basis @ dp).reshape(-1, 2)
     moved = cur + np.einsum("vab,va->vb", jac_t, ds)
@@ -381,7 +377,7 @@ class WarpEngine:
     @classmethod
     def build(cls, model):
         frame, tri = build_reference_frame(model)
-        dWdp = warp_jacobian_identity(model, frame, tri)
+        dWdp = warp_jacobian_identity(model, tri)
         return cls(model=model, frame=frame, tri=tri, dWdp=dWdp)
 
     @property
@@ -391,5 +387,4 @@ class WarpEngine:
     def increment_positions(self, dp):
         """Positions W(x; dp) of the masked pixels under an incremental
         warp, in mean coordinates."""
-        disp = self.model.basis @ np.asarray(dp, dtype=np.float64)
-        return self.frame.positions + self.tri.interp @ disp.reshape(-1, 2)
+        return self.frame.positions + self.dWdp @ dp

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from aam_cgd.shape_model import build_shape_model
-from aam_cgd.warp import WarpEngine
+from aam_cgd.warp import WarpEngine, build_reference_frame
 
 
 def circle_landmarks(v=8, radius=5.0, center=(6.5, 6.5)):
@@ -39,6 +39,19 @@ def make_full_rank_shape_model(rng, v=5, radius=5.0, spread=0.35):
 def square_shape_model(size=10.0):
     sq = np.array([0.0, 0.0, size, 0.0, size, size, 0.0, size])
     return build_shape_model([sq, sq], sq)
+
+
+def diamond_frame():
+    """Frame of a diamond with integer corners: its tips have no
+    neighbour along one axis, its edges one neighbour, its inside two."""
+    d = np.array([5.0, 0.0, 10.0, 5.0, 5.0, 10.0, 0.0, 5.0])
+    frame, _ = build_reference_frame(build_shape_model([d, d], d))
+    nb = frame.neighbors >= 0
+    for has_m, has_p in ((nb[:, 0], nb[:, 1]), (nb[:, 2], nb[:, 3])):
+        assert np.any(has_m & has_p)
+        assert np.any(has_m ^ has_p)
+        assert np.any(~has_m & ~has_p)
+    return frame
 
 
 def bilinear_field(height, width, a=0.0, b=0.0, c=0.0, d=0.0):

@@ -30,7 +30,7 @@ def interior_pixels(frame, radius=1):
             shifted[max(0, dr):mask.shape[0] - max(0, -dr),
                     max(0, dc):mask.shape[1] - max(0, -dc)] = src
             ok &= shifted
-    return frame.index_grid[ok & mask]
+    return np.flatnonzero(ok[mask])
 
 
 def directional_diff(vals, minus, plus):

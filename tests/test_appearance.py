@@ -11,7 +11,8 @@ from aam_cgd.appearance import (AppearanceModel, BpoOperator,
                                 project_appearance, project_out)
 from aam_cgd.errors import ConfigError, DimensionError
 from aam_cgd.shape_model import (_GRAM_BLOCK, build_shape_model,
-                                 procrustes_align, shape_instance)
+                                 procrustes_align, project_shape,
+                                 shape_instance)
 from aam_cgd.warp import WarpEngine
 from perfbench import synth
 
@@ -353,16 +354,17 @@ class TestInstanceProject:
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("call", ["shape_instance", "appearance_instance",
+@pytest.mark.parametrize("call", ["shape_instance", "project_shape",
+                                  "appearance_instance",
                                   "project_appearance"])
 def test_non_finite_input_rejected(rng, call, bad):
-    """One non-finite parameter or appearance value raises, as a
-    non-finite shape does in `project_shape`, rather than evaluating to
-    NaN."""
+    """One non-finite parameter, shape coordinate or appearance value
+    raises, rather than evaluating to NaN."""
     shape = make_toy_shape_model(rng)
     app, _ = random_model(rng)
     fn, model, n = {
         "shape_instance": (shape_instance, shape, shape.n_params),
+        "project_shape": (project_shape, shape, shape.mean.size),
         "appearance_instance": (appearance_instance, app, app.n_components),
         "project_appearance": (project_appearance, app, app.n_features),
     }[call]
@@ -373,11 +375,12 @@ def test_non_finite_input_rejected(rng, call, bad):
 
 
 @pytest.mark.parametrize("defect", ["rows", "not_orthonormal", "count",
-                                    "non_positive", "ascending", "nan"])
+                                    "non_positive", "ascending", "nan",
+                                    "nan_mean", "inf_mean"])
 @pytest.mark.parametrize("kind", ["shape", "appearance"])
 def test_linear_model_rules_shared(rng, kind, defect):
-    """Both models reject the same defects of their basis and eigenvalues,
-    naming the model in the DimensionError."""
+    """Both models reject the same defects of their mean, basis and
+    eigenvalues, naming the model in the DimensionError."""
     model = (make_toy_shape_model(rng) if kind == "shape"
              else random_model(rng)[0])
     evals = model.eigenvalues
@@ -388,6 +391,8 @@ def test_linear_model_rules_shared(rng, kind, defect):
         "non_positive": {"eigenvalues": evals - evals[-1]},
         "ascending": {"eigenvalues": evals[::-1]},
         "nan": {"eigenvalues": np.append(np.nan, evals[1:])},
+        "nan_mean": {"mean": np.append(np.nan, model.mean[1:])},
+        "inf_mean": {"mean": np.append(np.inf, model.mean[1:])},
     }[defect]
     model.validate()
     with pytest.raises(DimensionError, match=kind):

@@ -10,7 +10,8 @@ that runs `gn_hessian` and `project_out` on every step.  A traced run
 traced library function is renamed or deleted; `newton_sd` runs once
 more that way.  All four are marked `slow`: `pytest -m "not slow"` skips
 them for a fast inner loop, which still runs the benchmark's derivative
-self-tests, so a change to a library call the benchmark makes fails it.
+self-tests and looks up every traced layer, so a change to a library
+call the benchmark makes, or a renamed traced function, fails it.
 """
 
 import importlib
@@ -47,6 +48,17 @@ def test_traced_benchmark_resolves_every_layer():
     assert verdict["correct"] is True
     assert verdict["metrics"]["shape_model.procrustes_align.calls"][
         "value"] > 0
+
+
+def test_traced_layers_resolve(monkeypatch):
+    """Every layer a traced run times names a library or benchmark function,
+    so a rename fails the fast loop too (the traced run is `slow`)."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    bench = importlib.import_module("bench")
+    spans = importlib.import_module("spans")
+    for name in bench.FIT_LAYERS + bench.SETUP_LAYERS:
+        mod_name, attr = name.split(".")
+        assert callable(getattr(spans.MODULES[mod_name], attr, None)), name
 
 
 def test_selftest_checks_library_calls(monkeypatch):

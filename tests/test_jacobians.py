@@ -12,26 +12,12 @@ from aam_cgd.jacobians import (_adjoint_image, basis_gradient_stack,
                                newton_terms_asymmetric,
                                newton_terms_bidirectional, residual_curvature,
                                second_gradient, steepest_descent)
-from aam_cgd.shape_model import build_shape_model
-from aam_cgd.warp import build_reference_frame
 
+from conftest import diamond_frame
 from oracles import (BidirectionalCost, basis_gradient_loop, fd_gradient,
                      fd_hessian, interior_pixels, make_toy_state,
                      neighbour_gradient, residual_curvature_sum,
                      steepest_descent_loop)
-
-
-def diamond_frame():
-    """Frame of a diamond with integer corners: its tips have no
-    neighbour along one axis, its edges one neighbour, its inside two."""
-    d = np.array([5.0, 0.0, 10.0, 5.0, 5.0, 10.0, 0.0, 5.0])
-    frame, _ = build_reference_frame(build_shape_model([d, d], d))
-    nb = frame.neighbors >= 0
-    for has_m, has_p in ((nb[:, 0], nb[:, 1]), (nb[:, 2], nb[:, 3])):
-        assert np.any(has_m & has_p)
-        assert np.any(has_m ^ has_p)
-        assert np.any(~has_m & ~has_p)
-    return frame
 
 
 class TestImageGradient:

@@ -242,6 +242,13 @@ class TestBasisOrientation:
         with pytest.raises(DegeneracyError):
             orthonormalize(C)
 
+    def test_orthonormalize_no_columns(self, capfd):
+        """An empty basis (a shape model with no non-rigid modes) comes
+        back empty, and LAPACK is not called to print an error."""
+        q = orthonormalize(np.zeros((10, 0)))
+        assert q.shape == (10, 0)
+        assert capfd.readouterr() == ("", "")
+
     def test_orthonormalize_in_place_on_column_major(self, rng):
         C = np.asfortranarray(rng.standard_normal((40, 8)))
         raw = C.copy()

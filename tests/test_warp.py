@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +12,7 @@ from aam_cgd.warp import (BARYCENTRIC_TOL, WarpEngine, bilinear_sample,
                           rasterize_barycentric, sample_frame_image,
                           warp_jacobian_identity, warp_to_reference)
 
-from conftest import (bilinear_field, bilinear_value,
+from conftest import (bilinear_field, bilinear_value, diamond_frame,
                       make_full_rank_shape_model, make_toy_shape_model,
                       square_shape_model)
 from oracles import bilinear_reference, compose_per_triangle, interior_pixels
@@ -72,14 +71,20 @@ class TestBuildReferenceFrame:
         with pytest.raises(DegeneracyError):
             build_reference_frame(sliver)
 
-    def test_pixel_index_must_be_a_bijection(self, toy_engine):
-        frame = toy_engine.frame
-        grid = frame.index_grid.copy()
-        grid[frame.mask] = np.roll(grid[frame.mask], 1)   # a permutation
-        replace(frame, index_grid=grid).validate()
-        grid[grid == 0] = 1
-        with pytest.raises(DimensionError, match="bijection"):
-            replace(frame, index_grid=grid).validate()
+    @pytest.mark.parametrize("which", ["diamond", "toy"])
+    def test_pixel_order_and_neighbors_by_definition(self, toy_engine,
+                                                     which):
+        """Pixel i is the mask's i-th True entry in row-major order, and
+        neighbour j of pixel i is the pixel one grid step along -x, +x,
+        -y or +y from it: -1 exactly when that grid point is unmasked."""
+        frame = diamond_frame() if which == "diamond" else toy_engine.frame
+        np.testing.assert_array_equal(
+            frame.positions, _frame_queries(frame)[frame.mask.ravel()])
+        index = {tuple(pos): i for i, pos in enumerate(frame.positions)}
+        steps = [(-1, 0), (1, 0), (0, -1), (0, 1)]
+        want = [[index.get((x + dx, y + dy), -1) for dx, dy in steps]
+                for x, y in frame.positions]
+        np.testing.assert_array_equal(frame.neighbors, want)
 
     def test_landmark_in_no_triangle_rejected(self):
         # A repeated corner lies in no triangle, so `compose` could not
@@ -419,7 +424,7 @@ class TestWarpJacobian:
             tampered[2 * v_idx:2 * v_idx + 2, :] = 123.0
         hacked = type(model)(mean=model.mean, basis=tampered,
                              eigenvalues=model.eigenvalues)
-        dWdp2 = warp_jacobian_identity(hacked, toy_engine.frame, tri)
+        dWdp2 = warp_jacobian_identity(hacked, tri)
         np.testing.assert_array_equal(dWdp2[pix], toy_engine.dWdp[pix])
 
 
@@ -493,11 +498,23 @@ class TestCompose:
             assert (np.linalg.norm(got - want)
                     <= 1e-12 * np.linalg.norm(want))
 
-    def test_dimension_mismatch(self, toy_engine):
+    @pytest.mark.parametrize("defect", ["p_length", "dp_length", "nan_p",
+                                        "inf_dp"])
+    def test_bad_vector_rejected(self, toy_engine, defect):
+        """A wrong length or a non-finite value in p or dp raises; a NaN p
+        with a zero increment too, rather than coming back as it is."""
         n = toy_engine.model.n_params
+        p, dp = np.zeros(n), np.zeros(n)
+        if defect == "p_length":
+            p = np.zeros(n + 1)
+        elif defect == "dp_length":
+            dp = np.zeros(n + 1)
+        elif defect == "nan_p":
+            p[1] = np.nan
+        else:
+            dp[1] = np.inf
         with pytest.raises(DimensionError):
-            compose(toy_engine.model, toy_engine.tri, np.zeros(n + 1),
-                    np.zeros(n))
+            compose(toy_engine.model, toy_engine.tri, p, dp)
 
 
 class TestFrameImageSampling:
