@@ -9,8 +9,8 @@ masked grid, one-sided where only one neighbour is masked and zero where
 the pixel is isolated.  Its rows are interleaved as the rows of the
 copy-free (2F, P) view dW of the (F, 2, P) warp Jacobian, so:
 
-- the gradient of all k channels is one product with D, and the four
-  second derivatives are two;
+- the gradient of all k channels is one product with D, a (2, k F)
+  array, and the symmetric Hessian two, a (3, k F) array (xx, xy, yy);
 - the Newton cross block J_{a_j}^T r of every appearance column goes
   through the adjoint image D^T diag(r) dW of `_adjoint_image`, one
   sparse product for all channels, so no per-column gradient is formed;
@@ -42,21 +42,26 @@ def image_gradient(v, frame):
     """Per-channel spatial gradient of a channel-major frame vector: one
     product with the frame's difference operator.
 
-    Returns (grad_x, grad_y), each of length F * k.
+    Returns the (2, F * k) array whose rows are the channel-major x and y
+    derivatives.
     """
     g = _difference(v, frame)                             # (2F, k)
-    return tuple(g.reshape(frame.n_pixels, 2, -1).transpose(1, 2, 0)
-                 .reshape(2, -1))
+    return g.reshape(frame.n_pixels, 2, -1).transpose(1, 2, 0).reshape(2, -1)
 
 
 def second_gradient(v, frame):
-    """Second derivatives (xx, xy, yx, yy) by differencing twice, with
-    xy = Dy Dx v and yx = Dx Dy v: two products with the operator."""
+    """Symmetric image Hessian by differencing twice: the (3, F * k) array
+    of rows xx = Dx Dx v, xy = (Dy Dx v + Dx Dy v) / 2 and yy = Dy Dy v,
+    each channel-major.  Two products with the operator."""
     F = frame.n_pixels
     g = _difference(v, frame).reshape(F, -1)    # row f: (gx, gy) x channel
-    gg = frame.diff @ g                         # row 2f + b, column a k + c
-    return tuple(gg.reshape(F, 2, 2, -1).transpose(2, 1, 3, 0)
-                 .reshape(4, -1))
+    gg = (frame.diff @ g).reshape(F, 2, 2, -1)  # [f, b, a, c] = D_b D_a v_c
+    h = np.empty((3, gg.shape[3], F))
+    h[0] = gg[:, 0, 0].T
+    np.add(gg[:, 1, 0].T, gg[:, 0, 1].T, out=h[1])
+    h[1] *= 0.5
+    h[2] = gg[:, 1, 1].T
+    return h.reshape(3, -1)
 
 
 def _difference(v, frame):
@@ -90,11 +95,10 @@ def _warp_dims(warp_jac):
 
 
 def blend_gradients(grad_image, grad_model, alpha):
-    """alpha-weighted combination of image- and model-side gradients."""
+    """alpha-weighted combination of image- and model-side (2, k F)
+    gradients."""
     beta = 1.0 - alpha
-    gx = alpha * grad_image[0] + beta * grad_model[0]
-    gy = alpha * grad_image[1] + beta * grad_model[1]
-    return gx, gy
+    return alpha * np.asarray(grad_image) + beta * np.asarray(grad_model)
 
 
 @np.errstate(invalid="ignore", over="ignore")   # see the check at the end
@@ -134,24 +138,28 @@ def _require_finite(*blocks):
 def residual_curvature(second, warp_jac, weighted_residual):
     """Residual-weighted curvature sum_f dW_f^T W_f dW_f, one GEMM.
 
-    `second` is the (xx, xy, yx, yy) tuple from second_gradient;
+    `second` is the (3, k F) array of Hessian rows (xx, xy, yy) from
+    `second_gradient`, any other shape raising `DimensionError`;
     `weighted_residual` is channel-major (already carrying any
-    project-out weighting).  W_f is the 2 x 2 sum over channels of the
-    residual times the second derivatives, cross terms symmetrized; over
-    the (2F, P) view dW of `warp_jac` the sum is dW^T (W dW).
+    project-out weighting).  W_f is the symmetric 2 x 2 sum over channels
+    of the residual times the Hessian; over the (2F, P) view dW of
+    `warp_jac` the sum is dW^T (W dW).
     """
     F, P = _warp_dims(warp_jac)
-    xx, xy, yx, yy = (_channels(g, F) for g in second)
     r = _channels(weighted_residual, F)
-    if r.shape != xx.shape:      # einsum would broadcast a single channel
-        raise DimensionError("residual and second derivatives disagree "
-                             "in channels")
-    W = np.empty((F, 2, 2))
-    W[:, 0, 0] = np.einsum("cf,cf->f", r, xx)
-    W[:, 0, 1] = W[:, 1, 0] = np.einsum("cf,cf->f", r, 0.5 * (xy + yx))
-    W[:, 1, 1] = np.einsum("cf,cf->f", r, yy)
+    s = _hessian_rows(second, r.size).reshape(3, -1, F)
+    w = np.einsum("cf,scf->fs", r, s)                     # (F, 3)
+    W = w[:, [[0, 1], [1, 2]]]
     H = warp_jac.reshape(-1, P).T @ (W @ warp_jac).reshape(-1, P)
     return 0.5 * (H + H.T)
+
+
+def _hessian_rows(second, n):
+    """The (3, n) rows (xx, xy, yy) as a float64 array, or DimensionError."""
+    s = np.asarray(second, dtype=np.float64)
+    if s.shape != (3, n):
+        raise DimensionError(f"Hessian rows must be (3, {n}), got {s.shape}")
+    return s
 
 
 def basis_gradient_stack(appearance, frame, warp_jac, residual):
@@ -164,19 +172,21 @@ def basis_gradient_stack(appearance, frame, warp_jac, residual):
     It is A^T U with U the adjoint image of `_adjoint_image`, so the m
     columns cost one sparse product and one GEMM.
     """
-    r = _checked_residual(appearance, residual)
+    r = _checked_residual(appearance, warp_jac, residual)
     U = _adjoint_image(frame, warp_jac, r)
     return (U.T @ appearance.basis).T       # as B in `gn_hessian`
 
 
-def _checked_residual(appearance, residual, *jacobians):
-    """The residual as a float64 array, after checking that it and every
-    (rows, P) Jacobian have the appearance model's k F rows."""
+def _checked_residual(appearance, warp_jac, residual, *jacobians):
+    """The residual as a float64 array, after checking that it has the
+    appearance model's k F rows and every Jacobian is (k F, P), P the
+    warp Jacobian's parameter count."""
     r = np.asarray(residual, dtype=np.float64)
     n = appearance.n_features
-    if r.size != n or any(J.shape[0] != n for J in jacobians):
-        raise DimensionError("residual or Jacobian rows do not match the "
-                             "appearance model")
+    shape = (n, _warp_dims(warp_jac)[1])
+    if r.size != n or any(np.shape(J) != shape for J in jacobians):
+        raise DimensionError("residual or Jacobian shape does not match the "
+                             "appearance model and warp Jacobian")
     return r
 
 
@@ -239,13 +249,13 @@ def newton_terms_asymmetric(appearance, frame, warp_jac, residual,
     +beta J_A^T r (signs fixed by the finite-difference Hessian oracle).
     """
     beta = 1.0 - alpha
-    r = _checked_residual(appearance, residual, J_t)
+    r = _checked_residual(appearance, warp_jac, residual, J_t)
     X = _adjoint_image(frame, warp_jac, beta * r)
     X -= J_t
     cp = (X.T @ appearance.basis).T         # as B in `gn_hessian`
     # The curvature is linear in the second derivatives: one pass.
-    second = [alpha ** 2 * gi - beta ** 2 * gm
-              for gi, gm in zip(grad2_image, grad2_model)]
+    second = (alpha ** 2 * _hessian_rows(grad2_image, r.size)
+              - beta ** 2 * _hessian_rows(grad2_model, r.size))
     pp = J_t.T @ J_t + residual_curvature(second, warp_jac, r)
     _require_finite(cp, pp)
     return NewtonTerms(cross=cp, xx=pp)

@@ -286,12 +286,14 @@ def build_shape_model(aligned, mean, n_components=None):
 
     `n_components` selects the number of non-rigid modes: an integer
     (capped at the available rank, with a warning) or None to keep
-    everything.
+    everything.  A shape of another length than the mean raises
+    `DimensionError`.
     """
     if len(aligned) < 2:
         raise InsufficientDataError("need at least 2 aligned shapes")
     mean = as_shape(mean)
-    X = np.stack([as_shape(s) for s in aligned]) - mean
+    X = np.stack([as_vector(s, mean.size, "aligned shape coordinates")
+                  for s in aligned]) - mean
 
     sim = similarity_basis(mean)
     # Non-rigid modes live in the orthogonal complement of the similarity

@@ -63,14 +63,6 @@ class ReferenceFrame:
     def n_pixels(self):
         return self.positions.shape[0]
 
-    def validate(self):
-        F = self.n_pixels
-        if F <= 0:
-            raise DimensionError("reference frame has no masked pixels")
-        if int(self.mask.sum()) != F:
-            raise DimensionError("mask does not match pixel count")
-        return self
-
     def to_grid(self, vec):
         """Scatter a channel-major vector onto (k, height, width) grids,
         zero outside the mask."""
@@ -95,14 +87,6 @@ class Triangulation:
     triangles: np.ndarray    # (T, 3) vertex indices
     interp: csr_matrix       # (F, n_points) three entries per row
     landmark_grad: csr_matrix  # (2 n_points, n_points), see module doc
-
-    def validate(self):
-        sums = np.asarray(self.interp.sum(axis=1)).ravel()
-        if not np.allclose(sums, 1.0, atol=1e-9):
-            raise DimensionError("barycentric coordinates do not sum to 1")
-        if np.any(self.interp.data < -BARYCENTRIC_TOL):
-            raise DimensionError("negative barycentric coordinate")
-        return self
 
 
 def rasterize_barycentric(vertices, triangles, queries):
@@ -240,7 +224,7 @@ def build_reference_frame(model):
         diff=diff, diff_t=diff.T.tocsr())
     tri = Triangulation(triangles=triangles, interp=interp,
                         landmark_grad=landmark_grad)
-    return frame.validate(), tri.validate()
+    return frame, tri
 
 
 def bilinear_sample(image, positions):

@@ -88,18 +88,17 @@ def basis_gradient_loop(appearance, frame, warp_jac, residual):
 
 def residual_curvature_sum(second, warp_jac, weighted_residual):
     """sum over pixels f and channels c of r_cf dW_f^T S_cf dW_f, with
-    S_cf the symmetrized 2x2 second-derivative matrix of channel c at
-    pixel f; one pixel at a time."""
+    S_cf = [[xx, xy], [xy, yy]] the 2x2 Hessian of channel c at pixel f
+    from the (xx, xy, yy) rows; one pixel at a time."""
     F, _, P = warp_jac.shape
-    gxx, gxy, gyx, gyy = (np.asarray(g, dtype=np.float64).reshape(-1, F)
-                          for g in second)
+    gxx, gxy, gyy = (np.asarray(g, dtype=np.float64).reshape(-1, F)
+                     for g in second)
     r = np.asarray(weighted_residual, dtype=np.float64).reshape(-1, F)
     H = np.zeros((P, P))
     for f in range(F):
         dW = warp_jac[f]
         for c in range(r.shape[0]):
-            off = 0.5 * (gxy[c, f] + gyx[c, f])
-            S = np.array([[gxx[c, f], off], [off, gyy[c, f]]])
+            S = np.array([[gxx[c, f], gxy[c, f]], [gxy[c, f], gyy[c, f]]])
             H += r[c, f] * (dW.T @ S @ dW)
     return H
 

@@ -73,19 +73,19 @@ class TestImageGradient:
 
     @pytest.mark.parametrize("which", ["diamond", "toy"])
     def test_second_gradient_order(self, toy_engine, rng, which):
-        """xy = Dy Dx v and yx = Dx Dy v.  Near the mask's edge one-sided
-        differences do not commute, so the two differ and a swap shows;
-        `residual_curvature` symmetrizes them, so nothing after would."""
+        """The rows are xx = Dx Dx v, xy = (Dy Dx v + Dx Dy v) / 2 and
+        yy = Dy Dy v.  Near the mask's edge one-sided differences do not
+        commute, so Dy Dx v and Dx Dy v differ and a dropped or unhalved
+        side shows."""
         frame = diamond_frame() if which == "diamond" else toy_engine.frame
         v = rng.standard_normal(3 * frame.n_pixels)
         gx, gy = image_gradient(v, frame)
-        xx, xy, yx, yy = second_gradient(v, frame)
-        for got, ref in ((xx, image_gradient(gx, frame)[0]),
-                         (xy, image_gradient(gx, frame)[1]),
-                         (yx, image_gradient(gy, frame)[0]),
-                         (yy, image_gradient(gy, frame)[1])):
-            np.testing.assert_array_equal(got, ref)
-        assert not np.allclose(xy, yx)
+        (dxx, dyx), (dxy, dyy) = (image_gradient(gx, frame),
+                                  image_gradient(gy, frame))
+        h = second_gradient(v, frame)
+        assert h.shape == (3, v.size)
+        np.testing.assert_array_equal(h, [dxx, 0.5 * (dyx + dxy), dyy])
+        assert not np.allclose(dyx, dxy)
 
     def test_difference_operators_adjoint(self, rng):
         frame = diamond_frame()
@@ -134,22 +134,34 @@ class TestSteepestDescent:
 @pytest.mark.parametrize("call", [
     "image_gradient", "second_gradient", "steepest_descent",
     "residual_curvature", "residual_curvature_channels",
+    "residual_curvature_four_rows", "residual_curvature_second_length",
     "basis_gradient_stack", "basis_gradient_stack_channels",
     "newton_terms_asymmetric", "newton_terms_asymmetric_channels",
-    "newton_terms_asymmetric_J_t", "newton_terms_bidirectional",
+    "newton_terms_asymmetric_J_t", "newton_terms_asymmetric_J_t_width",
+    "newton_terms_asymmetric_four_rows_image",
+    "newton_terms_asymmetric_four_rows_model",
+    "newton_terms_asymmetric_second_length",
+    "newton_terms_bidirectional",
     "newton_terms_bidirectional_channels", "newton_terms_bidirectional_J_i",
-    "newton_terms_bidirectional_J_a"])
+    "newton_terms_bidirectional_J_a", "newton_terms_bidirectional_J_i_width",
+    "newton_terms_bidirectional_J_a_width",
+    "newton_terms_bidirectional_four_rows",
+    "newton_terms_bidirectional_second_length"])
 def test_channel_major_length_checked(toy_engine, rng, call):
     """A channel-major input of length F + 1, a one-channel residual
-    against three-channel second derivatives or basis, or an (F, P)
-    Jacobian against the basis's 3F rows raises DimensionError rather
-    than numpy's reshape or matmul error or a silent broadcast."""
+    against three-channel second derivatives or basis, an (F, P)
+    Jacobian against the basis's 3F rows, a (3F, P - 1) Jacobian, or
+    second derivatives that are not the (3, 3F) Hessian rows (four rows,
+    or 3F - 1 columns) raise DimensionError rather than numpy's reshape,
+    matmul or broadcast error or a silent broadcast."""
     frame, dW = toy_engine.frame, toy_engine.dWdp
     F, P = frame.n_pixels, dW.shape[2]
     app = _orthonormal_appearance(rng, 3 * F, 2)
     bad = rng.standard_normal(F + 1)
     v = rng.standard_normal(3 * F)
     s = second_gradient(v, frame)
+    s4 = np.vstack([s[:2], s[1:]])          # xx, xy, xy, yy
+    s_short = s[:, :-1]
     J = rng.standard_normal((3 * F, P))
     calls = {
         "image_gradient": lambda: image_gradient(bad, frame),
@@ -158,6 +170,10 @@ def test_channel_major_length_checked(toy_engine, rng, call):
         "residual_curvature": lambda: residual_curvature(s, dW, bad),
         "residual_curvature_channels": lambda: residual_curvature(
             s, dW, v[:F]),
+        "residual_curvature_four_rows": lambda: residual_curvature(
+            s4, dW, v),
+        "residual_curvature_second_length": lambda: residual_curvature(
+            s_short, dW, v),
         "basis_gradient_stack": lambda: basis_gradient_stack(
             app, frame, dW, bad),
         "basis_gradient_stack_channels": lambda: basis_gradient_stack(
@@ -168,6 +184,14 @@ def test_channel_major_length_checked(toy_engine, rng, call):
             app, frame, dW, v[:F], s, s, J, 0.5),
         "newton_terms_asymmetric_J_t": lambda: newton_terms_asymmetric(
             app, frame, dW, v, s, s, J[:F], 0.5),
+        "newton_terms_asymmetric_J_t_width": lambda: newton_terms_asymmetric(
+            app, frame, dW, v, s, s, J[:, :-1], 0.5),
+        "newton_terms_asymmetric_four_rows_image": lambda:
+            newton_terms_asymmetric(app, frame, dW, v, s4, s, J, 0.5),
+        "newton_terms_asymmetric_four_rows_model": lambda:
+            newton_terms_asymmetric(app, frame, dW, v, s, s4, J, 0.5),
+        "newton_terms_asymmetric_second_length": lambda:
+            newton_terms_asymmetric(app, frame, dW, v, s, s_short, J, 0.5),
         "newton_terms_bidirectional": lambda: newton_terms_bidirectional(
             app, frame, dW, bad, s, s, J, J),
         "newton_terms_bidirectional_channels": lambda:
@@ -176,6 +200,14 @@ def test_channel_major_length_checked(toy_engine, rng, call):
             app, frame, dW, v, s, s, J[:F], J),
         "newton_terms_bidirectional_J_a": lambda: newton_terms_bidirectional(
             app, frame, dW, v, s, s, J, J[:F]),
+        "newton_terms_bidirectional_J_i_width": lambda:
+            newton_terms_bidirectional(app, frame, dW, v, s, s, J[:, :-1], J),
+        "newton_terms_bidirectional_J_a_width": lambda:
+            newton_terms_bidirectional(app, frame, dW, v, s, s, J, J[:, :-1]),
+        "newton_terms_bidirectional_four_rows": lambda:
+            newton_terms_bidirectional(app, frame, dW, v, s4, s4, J, J),
+        "newton_terms_bidirectional_second_length": lambda:
+            newton_terms_bidirectional(app, frame, dW, v, s_short, s, J, J),
     }
     with pytest.raises(DimensionError):
         calls[call]()
@@ -438,6 +470,39 @@ class TestNewtonTermsAsymmetric:
             np.testing.assert_allclose(dp, step, rtol=0,
                                        atol=1e-10 * np.abs(step).max())
 
+    @pytest.mark.parametrize("rho", [0.0, 0.25, 0.5])
+    def test_schur_complement_is_bayesian_project_out(self, rng, rho):
+        """Bayesian project-out is the Schur complement on dc of the
+        Gauss-Newton blocks weighted by w = (1 - rho) / sigma^2 plus a
+        Gaussian prior on c of precision lambda = w q / (w - q), with
+        q = rho / (eigenvalues + sigma^2).  Then w^2 / (w + lambda) is
+        w - q, so the reduced Hessian is w J^T J - B^T diag(w - q) B and
+        the reduced gradient J^T (w r - A diag(w - q) A^T r), both with
+        the BPO weight w I + A diag(q - w) A^T.  For rho <= 0.5, w > q
+        because eigenvalues + sigma^2 > sigma^2, so lambda >= 0."""
+        state = make_toy_state(rng, v=6, n_modes=2, m=2, k=3, radius=6.0)
+        app, frame = state.appearance, state.engine.frame
+        _, r, J_t = self._assemble(state, 0.5)
+        terms = newton_terms_asymmetric(
+            app, frame, state.engine.dWdp, np.zeros_like(r),
+            second_gradient(state.i_vec, frame),
+            second_gradient(appearance_instance(app, state.c), frame),
+            J_t, 0.5)
+        s2 = app.image_noise
+        w = (1.0 - rho) / s2
+        q = rho / (app.eigenvalues + s2)
+        assert np.all(w > q)
+        cc = np.diag(w + w * q / (w - q))
+        cross, xx = w * terms.cross, w * terms.xx
+        g_c, g_p = -w * (app.basis.T @ r), w * (J_t.T @ r)
+        H = xx - cross.T @ np.linalg.solve(cc, cross)
+        g = g_p - cross.T @ np.linalg.solve(cc, g_c)
+        cost = BpoOperator(app, rho)
+        for got, ref in ((gn_hessian(J_t, cost), H),
+                         (J_t.T @ project_out(cost, r), g)):
+            np.testing.assert_allclose(got, ref, rtol=0,
+                                       atol=1e-12 * np.abs(ref).max())
+
 
 
 class TestNewtonTermsBidirectional:
@@ -496,15 +561,25 @@ _POISONED = [
     *[("asymmetric", name) for name in ("residual", "J_t", "s_i", "s_m")],
     *[("bidirectional", name)
       for name in ("residual", "J_i", "J_a", "s_i", "s_m")]]
+# Each Hessian row (xx, xy, yy) of s_i and s_m is poisoned in its own case;
+# row xx keeps the id the case had before the row was a parameter.
+_POISONED = [(a, p, row) for a, p in _POISONED
+             for row in ((0, 1, 2) if p.startswith("s_") else (None,))]
 
 
-@pytest.mark.parametrize("assembler, poison, bad", [
-    *[pytest.param(a, p, np.nan, id=f"{a}-{p}") for a, p in _POISONED],
-    *[pytest.param(a, p, bad, id=f"{a}-{p}-{bad}")
-      for bad in (np.inf, -np.inf) for a, p in _POISONED]])
-def test_newton_terms_reject_non_finite_input(rng, assembler, poison, bad):
-    """One NaN or inf in the residual, a Jacobian or one image- or
-    model-side second derivative, on a three-channel state, raises
+def _poison_id(a, p, row):
+    return f"{a}-{p}" + (f"-{('xx', 'xy', 'yy')[row]}" if row else "")
+
+
+@pytest.mark.parametrize("assembler, poison, row, bad", [
+    *[pytest.param(*case, np.nan, id=_poison_id(*case))
+      for case in _POISONED],
+    *[pytest.param(*case, bad, id=f"{_poison_id(*case)}-{bad}")
+      for bad in (np.inf, -np.inf) for case in _POISONED]])
+def test_newton_terms_reject_non_finite_input(rng, assembler, poison, row,
+                                              bad):
+    """One NaN or inf in the residual, a Jacobian or row `row` of the
+    image- or model-side Hessian, on a three-channel state, raises
     rather than making the assembled Hessian non-finite.  No numpy
     warning escapes (warnings are errors in the test suite)."""
     state = make_toy_state(rng, v=6, n_modes=2, m=2, k=3, radius=6.0)
@@ -517,7 +592,7 @@ def test_newton_terms_reject_non_finite_input(rng, assembler, poison, bad):
             "s_m": second_gradient(model_vec, frame)}
     target = args[poison]
     if poison.startswith("s_"):
-        target = target[rng.integers(4)]       # one of xx, xy, yx, yy
+        target = target[row]
     target.flat[rng.integers(target.size)] = bad
     common = (state.appearance, frame, dW, args["residual"], args["s_i"],
               args["s_m"])

@@ -191,6 +191,24 @@ class TestBuildShapeModel:
         with pytest.raises(InsufficientDataError):
             build_shape_model([np.zeros(6)], np.zeros(6))
 
+    @pytest.mark.parametrize("case", ["ragged", "mean_length", "nan_shape"])
+    def test_mismatched_shapes_rejected(self, case):
+        """Aligned shapes of unequal length, or of another length than
+        the mean, raise DimensionError, as in `procrustes_align`, not
+        numpy's stacking or broadcasting error; so does a NaN
+        coordinate."""
+        rng = np.random.default_rng(11)
+        aligned, _, mean = procrustes_align(random_shapes(rng, 5, v=6))
+        aligned = [s.copy() for s in aligned]
+        if case == "ragged":
+            aligned[2] = aligned[2][:-2]
+        elif case == "mean_length":
+            mean = np.append(mean, [0.0, 0.0])
+        else:
+            aligned[1][3] = np.nan
+        with pytest.raises(DimensionError):
+            build_shape_model(aligned, mean)
+
     def test_numpy_integer_count(self):
         rng = np.random.default_rng(10)
         aligned, _, mean = procrustes_align(random_shapes(rng, 30, v=8))
