@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg.blas import daxpy
 
 from .errors import ConfigError, DimensionError, InsufficientDataError
-from .shape_model import _check_linear_model, _freeze, as_vector, pca
+from .shape_model import _check_linear_model, _freeze, as_array, as_vector, pca
 
 SIGMA_FLOOR_REL = 1e-8
 SIGMA_FLOOR_ABS = 1e-12
@@ -120,14 +120,13 @@ def project_out(cost, r):
     Accepts a vector (k F,) or a matrix (k F, n) applied column-wise.  The
     result is formed in the product A (v * A^T r), and w r is added to it
     in place (BLAS daxpy), so a matrix r costs one (k F, n) array, the
-    result.
+    result.  A non-finite entry of r raises `DimensionError`.
     """
     A, w, v = cost_weights(cost)
-    r = np.asarray(r, dtype=np.float64)
-    if r.ndim not in (1, 2) or r.shape[0] != A.shape[0]:
-        raise DimensionError(f"expected a ({A.shape[0]},) vector or "
-                             f"({A.shape[0]}, n) matrix, got shape "
-                             f"{r.shape}")
+    r = as_array(r, (A.shape[0],) + np.shape(r)[1:2],  # (k F,) or (k F, n)
+                 "residual")
+    if not np.isfinite(r).all():
+        raise DimensionError("non-finite residual")
     a = A.T @ r
     np.multiply(a.T, v, out=a.T)
     out = A @ a

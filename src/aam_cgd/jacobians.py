@@ -26,6 +26,9 @@ B = A^T J as w J^T J + B^T diag(v) B (see `gn_hessian`), so no projected
 Both compositions' Newton blocks have one shape, `NewtonTerms`; the
 bidirectional blocks are the asymmetric ones at alpha = 1 (image side)
 and alpha = 0 (model side) plus the cross term -J_i^T J_a.
+
+Every array shape is checked by the one rule `shape_model.as_array`, so
+nothing is broadcast; non-finite input raises from `_require_finite`.
 """
 
 from dataclasses import dataclass
@@ -35,6 +38,7 @@ from scipy.sparse import csr_matrix
 
 from .appearance import cost_weights
 from .errors import DimensionError
+from .shape_model import as_array
 from .warp import _channels
 
 
@@ -73,32 +77,29 @@ def _difference(v, frame):
 def steepest_descent(grad_x, grad_y, warp_jac):
     """Contract an image gradient with the warp Jacobian.
 
-    grad_x/grad_y: (F * k,) channel-major; warp_jac: (F, 2, P).
+    grad_x/grad_y: (F * k,) channel-major, one shape; warp_jac: (F, 2, P).
     Returns (F * k, P): per channel c and pixel f the row
     [gx, gy]_{c,f} @ warp_jac[f], one batched (1, 2) @ (2, P) product.
     """
     F, P = _warp_dims(warp_jac)
-    gx, gy = _channels(grad_x, F), _channels(grad_y, F)
-    if gx.shape != gy.shape:
-        raise DimensionError("gradient components disagree in shape")
+    gx = _channels(grad_x, F)
+    gy = _channels(as_array(grad_y, np.shape(grad_x), "y gradient"), F)
     g = np.stack([gx, gy], axis=-1)[:, :, None, :]       # (k, F, 1, 2)
     return np.matmul(g, warp_jac).reshape(-1, P)
 
 
 def _warp_dims(warp_jac):
-    """(F, P) of an (F, 2, P) warp Jacobian; any other shape raises
-    `DimensionError`."""
-    if warp_jac.ndim != 3 or warp_jac.shape[1] != 2:
-        raise DimensionError("warp Jacobian must be an (F, 2, P) array, got "
-                             f"shape {warp_jac.shape}")
-    return warp_jac.shape[0], warp_jac.shape[2]
+    """(F, P) of an (F, 2, P) warp Jacobian."""
+    return as_array(warp_jac, (None, 2, None), "warp Jacobian").shape[::2]
 
 
 def blend_gradients(grad_image, grad_model, alpha):
     """alpha-weighted combination of image- and model-side (2, k F)
-    gradients."""
+    gradients of one shape."""
+    gi = as_array(grad_image, (2, None), "image-side gradient")
+    gm = as_array(grad_model, gi.shape, "model-side gradient")
     beta = 1.0 - alpha
-    return alpha * np.asarray(grad_image) + beta * np.asarray(grad_model)
+    return alpha * gi + beta * gm
 
 
 @np.errstate(invalid="ignore", over="ignore")   # see the check at the end
@@ -111,15 +112,10 @@ def gn_hessian(J, cost=None):
     form needs only B: w J^T J + B^T diag(v) B, which for project-out
     (w = 1, v = -1) is J^T J - B^T B.
     """
-    J = np.asarray(J, dtype=np.float64)
-    if J.ndim != 2:
-        raise DimensionError(f"Jacobian must be a (rows, P) array, got shape "
-                             f"{J.shape}")
+    A, w, v = (None, None, None) if cost is None else cost_weights(cost)
+    J = as_array(J, (None if A is None else A.shape[0], None), "Jacobian")
     H = J.T @ J
-    if cost is not None:
-        A, w, v = cost_weights(cost)
-        if J.shape[0] != A.shape[0]:
-            raise DimensionError("Jacobian rows do not match the model")
+    if A is not None:
         # (J^T A)^T runs a few percent faster than A^T J at P = 24.
         B = (J.T @ A).T
         H = w * H + B.T @ (np.reshape(v, (-1, 1)) * B)
@@ -135,6 +131,7 @@ def _require_finite(*blocks):
         raise DimensionError("non-finite Jacobian, residual or curvature")
 
 
+@np.errstate(invalid="ignore", over="ignore")   # checked by _require_finite
 def residual_curvature(second, warp_jac, weighted_residual):
     """Residual-weighted curvature sum_f dW_f^T W_f dW_f, one GEMM.
 
@@ -147,21 +144,16 @@ def residual_curvature(second, warp_jac, weighted_residual):
     """
     F, P = _warp_dims(warp_jac)
     r = _channels(weighted_residual, F)
-    s = _hessian_rows(second, r.size).reshape(3, -1, F)
+    s = as_array(second, (3, r.size), "Hessian rows").reshape(3, -1, F)
     w = np.einsum("cf,scf->fs", r, s)                     # (F, 3)
     W = w[:, [[0, 1], [1, 2]]]
     H = warp_jac.reshape(-1, P).T @ (W @ warp_jac).reshape(-1, P)
-    return 0.5 * (H + H.T)
+    H = 0.5 * (H + H.T)
+    _require_finite(H)
+    return H
 
 
-def _hessian_rows(second, n):
-    """The (3, n) rows (xx, xy, yy) as a float64 array, or DimensionError."""
-    s = np.asarray(second, dtype=np.float64)
-    if s.shape != (3, n):
-        raise DimensionError(f"Hessian rows must be (3, {n}), got {s.shape}")
-    return s
-
-
+@np.errstate(invalid="ignore", over="ignore")   # checked by _require_finite
 def basis_gradient_stack(appearance, frame, warp_jac, residual):
     """Rows J_{a_j}^T r for every appearance basis column a_j.
 
@@ -174,20 +166,20 @@ def basis_gradient_stack(appearance, frame, warp_jac, residual):
     """
     r = _checked_residual(appearance, warp_jac, residual)
     U = _adjoint_image(frame, warp_jac, r)
-    return (U.T @ appearance.basis).T       # as B in `gn_hessian`
+    G = (U.T @ appearance.basis).T          # as B in `gn_hessian`
+    _require_finite(G)
+    return G
 
 
 def _checked_residual(appearance, warp_jac, residual, *jacobians):
-    """The residual as a float64 array, after checking that it has the
-    appearance model's k F rows and every Jacobian is (k F, P), P the
-    warp Jacobian's parameter count."""
-    r = np.asarray(residual, dtype=np.float64)
+    """The residual as a flat float64 array, after checking that it has
+    the appearance model's k F values and every Jacobian is (k F, P), P
+    the warp Jacobian's parameter count."""
     n = appearance.n_features
     shape = (n, _warp_dims(warp_jac)[1])
-    if r.size != n or any(np.shape(J) != shape for J in jacobians):
-        raise DimensionError("residual or Jacobian shape does not match the "
-                             "appearance model and warp Jacobian")
-    return r
+    for J in jacobians:
+        as_array(J, shape, "Jacobian")
+    return as_array(np.ravel(residual), (n,), "residual")
 
 
 def _adjoint_image(frame, warp_jac, residual):
@@ -254,8 +246,9 @@ def newton_terms_asymmetric(appearance, frame, warp_jac, residual,
     X -= J_t
     cp = (X.T @ appearance.basis).T         # as B in `gn_hessian`
     # The curvature is linear in the second derivatives: one pass.
-    second = (alpha ** 2 * _hessian_rows(grad2_image, r.size)
-              - beta ** 2 * _hessian_rows(grad2_model, r.size))
+    rows = (3, r.size)
+    second = (alpha ** 2 * as_array(grad2_image, rows, "image Hessian rows")
+              - beta ** 2 * as_array(grad2_model, rows, "model Hessian rows"))
     pp = J_t.T @ J_t + residual_curvature(second, warp_jac, r)
     _require_finite(cp, pp)
     return NewtonTerms(cross=cp, xx=pp)

@@ -46,6 +46,16 @@ def as_vector(x, size, what):
     return x
 
 
+def as_array(a, shape, what):
+    """The one array-shape rule: `a` as a float64 array of `shape` (None
+    matches any extent), else `DimensionError` naming `what` and both."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != len(shape) or any(e not in (None, n)
+                                   for e, n in zip(shape, a.shape)):
+        raise DimensionError(f"{what} must be {shape}, got {a.shape}")
+    return a
+
+
 def shape_to_points(s):
     """View a flat shape vector as a (v, 2) coordinate array."""
     return np.asarray(s, dtype=np.float64).reshape(-1, 2)
@@ -171,8 +181,7 @@ def _check_linear_model(model, n_modes, what):
     as_vector(model.mean, basis.shape[0], f"{what} mean values")
     if not np.allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-10):
         raise DimensionError(f"{what} basis is not orthonormal")
-    if evals.size != n_modes:
-        raise DimensionError(f"{what} eigenvalue count does not match basis")
+    as_array(evals, (n_modes,), f"{what} eigenvalues")
     if not (np.all(evals > 0) and np.all(np.diff(evals) <= 0)):
         raise DimensionError(f"{what} eigenvalues must be positive, sorted "
                              "descending")
@@ -190,6 +199,8 @@ def _resolve_n_components(n_components, evals, what):
     if n_components is None:
         return available
     try:
+        if isinstance(n_components, bool):   # operator.index(True) is 1
+            raise TypeError
         n_keep = operator.index(n_components)
     except TypeError:
         raise DimensionError(f"{what} component count must be an integer "

@@ -38,7 +38,7 @@ from scipy.sparse import csr_matrix
 from scipy.spatial import Delaunay, QhullError
 
 from .errors import DegeneracyError, DimensionError
-from .shape_model import as_vector, project_shape, shape_to_points
+from .shape_model import as_array, as_vector, project_shape, shape_to_points
 
 BARYCENTRIC_TOL = 1e-9
 
@@ -244,9 +244,7 @@ def bilinear_sample(image, positions):
         raise DimensionError("image must be a non-empty (H, W) or (H, W, k) "
                              f"array, got shape {np.shape(image)}")
     h, w, k = img.shape
-    positions = np.asarray(positions, dtype=np.float64)
-    if positions.ndim != 2 or positions.shape[1] != 2:
-        raise DimensionError("sample positions must be an (N, 2) array")
+    positions = as_array(positions, (None, 2), "sample positions")
     if not np.all(np.isfinite(positions)):
         raise DimensionError("non-finite sample position")
     return _bilinear_operator(positions, h, w) @ img.reshape(-1, k)
@@ -314,9 +312,7 @@ def sample_frame_image(grids, frame, positions):
 
     grids: (k, H, W) as returned by frame.to_grid.  Returns (N, k).
     """
-    grids = np.asarray(grids, dtype=np.float64)
-    if grids.ndim == 2:
-        grids = grids[None]
+    grids = as_array(grids, (None, frame.height, frame.width), "frame grids")
     array_pos = positions - frame.origin[None, :]
     return bilinear_sample(np.moveaxis(grids, 0, -1), array_pos)
 

@@ -32,8 +32,8 @@ def random_model(rng, dim=40, m=5, n_samples=12, noise=0.0):
 
 
 class TestBuildAppearanceModel:
-    @pytest.mark.parametrize("count", [0.75, np.float64(3.0)],
-                             ids=["float", "numpy_float"])
+    @pytest.mark.parametrize("count", [0.75, np.float64(3.0), True, False],
+                             ids=["float", "numpy_float", "true", "false"])
     def test_non_integer_count_rejected(self, rng, count):
         _, data = random_model(rng, dim=60, m=8, n_samples=30)
         with pytest.raises(DimensionError, match="integer"):

@@ -1,0 +1,31 @@
+"""Every module of the package uses each name it imports: deleted code
+takes its imports with it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "aam_cgd"
+
+
+def unused_imports(source):
+    """Names bound by an import in `source` and never read."""
+    tree = ast.parse(source)
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_checker_finds_unused_import():
+    source = "import os.path\nimport sys as s\nfrom re import I, M\ns.exit(M)"
+    assert unused_imports(source) == ["I", "os"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

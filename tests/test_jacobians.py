@@ -133,7 +133,8 @@ class TestSteepestDescent:
 
 @pytest.mark.parametrize("call", [
     "image_gradient", "second_gradient", "steepest_descent",
-    "residual_curvature", "residual_curvature_channels",
+    "steepest_descent_gy_shape", "blend_gradients_broadcast",
+    "blend_gradients_width", "residual_curvature", "residual_curvature_channels",
     "residual_curvature_four_rows", "residual_curvature_second_length",
     "basis_gradient_stack", "basis_gradient_stack_channels",
     "newton_terms_asymmetric", "newton_terms_asymmetric_channels",
@@ -152,8 +153,11 @@ def test_channel_major_length_checked(toy_engine, rng, call):
     against three-channel second derivatives or basis, an (F, P)
     Jacobian against the basis's 3F rows, a (3F, P - 1) Jacobian, or
     second derivatives that are not the (3, 3F) Hessian rows (four rows,
-    or 3F - 1 columns) raise DimensionError rather than numpy's reshape,
-    matmul or broadcast error or a silent broadcast."""
+    or 3F - 1 columns), a y gradient of another shape than the x
+    gradient, or a model-side gradient of another shape than the
+    image-side one, (2, 1) or (2, 3) against (2, 6), raise DimensionError
+    rather than numpy's reshape, matmul or broadcast error or a silent
+    broadcast."""
     frame, dW = toy_engine.frame, toy_engine.dWdp
     F, P = frame.n_pixels, dW.shape[2]
     app = _orthonormal_appearance(rng, 3 * F, 2)
@@ -167,6 +171,12 @@ def test_channel_major_length_checked(toy_engine, rng, call):
         "image_gradient": lambda: image_gradient(bad, frame),
         "second_gradient": lambda: second_gradient(bad, frame),
         "steepest_descent": lambda: steepest_descent(bad, bad, dW),
+        "steepest_descent_gy_shape": lambda: steepest_descent(
+            v, v.reshape(3, F), dW),
+        "blend_gradients_broadcast": lambda: blend_gradients(
+            np.ones((2, 6)), np.ones((2, 1)), 0.5),
+        "blend_gradients_width": lambda: blend_gradients(
+            np.ones((2, 6)), np.ones((2, 3)), 0.5),
         "residual_curvature": lambda: residual_curvature(s, dW, bad),
         "residual_curvature_channels": lambda: residual_curvature(
             s, dW, v[:F]),
@@ -211,6 +221,22 @@ def test_channel_major_length_checked(toy_engine, rng, call):
     }
     with pytest.raises(DimensionError):
         calls[call]()
+
+
+def test_residual_of_any_shape_accepted(toy_engine, rng):
+    """The residual is any array of the basis's k F values: a (k, F)
+    residual gives the bits of the flat one."""
+    frame, dW = toy_engine.frame, toy_engine.dWdp
+    F, P = frame.n_pixels, dW.shape[2]
+    app = _orthonormal_appearance(rng, 3 * F, 2)
+    r = rng.standard_normal(3 * F)
+    s = second_gradient(rng.standard_normal(3 * F), frame)
+    J = rng.standard_normal((3 * F, P))
+    flat = newton_terms_asymmetric(app, frame, dW, r, s, s, J, 0.5)
+    rows = newton_terms_asymmetric(app, frame, dW, r.reshape(3, F), s, s, J,
+                                   0.5)
+    np.testing.assert_array_equal(rows.cross, flat.cross)
+    np.testing.assert_array_equal(rows.xx, flat.xx)
 
 
 class TestGnHessian:
@@ -601,6 +627,38 @@ def test_newton_terms_reject_non_finite_input(rng, assembler, poison, row,
             newton_terms_asymmetric(*common, args["J_t"], 0.3)
         else:
             newton_terms_bidirectional(*common, args["J_i"], args["J_a"])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("rho", [None, 0.4], ids=["po", "bpo"])
+@pytest.mark.parametrize("call", ["project_out", "project_out_matrix",
+                                  "residual_curvature",
+                                  "basis_gradient_stack"])
+def test_weighted_residual_rejects_non_finite_input(rng, call, rho, bad):
+    """One NaN or inf in the residual or Jacobian a project-out or
+    Bayesian project-out weight applies to, or in the weighted residual
+    the Newton blocks read, on a three-channel state, raises
+    DimensionError rather than returning a NaN.  No numpy warning
+    escapes."""
+    state = make_toy_state(rng, v=6, n_modes=2, m=2, k=3, radius=6.0)
+    frame, dW, app = state.engine.frame, state.engine.dWdp, state.appearance
+    cost = app if rho is None else BpoOperator(app, rho=rho)
+    r = project_out(cost, _residual(state))
+    J = steepest_descent(*image_gradient(state.i_vec, frame), dW)
+    poisoned = J if call == "project_out_matrix" else r
+    poisoned.flat[rng.integers(poisoned.size)] = bad
+    calls = {
+        "project_out": lambda: project_out(cost, r),
+        "project_out_matrix": lambda: project_out(cost, J),
+        "residual_curvature": lambda: residual_curvature(
+            second_gradient(state.i_vec, frame), dW, r),
+        "basis_gradient_stack": lambda: basis_gradient_stack(
+            app, frame, dW, r),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionError, match="non-finite"):
+            calls[call]()
 
 
 class TestNewtonBlocksMatchDefinitions:

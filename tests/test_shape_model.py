@@ -215,10 +215,12 @@ class TestBuildShapeModel:
         model = build_shape_model(aligned, mean, n_components=np.int64(3))
         assert model.n_nonrigid == 3
 
-    @pytest.mark.parametrize("count", [0.75, np.float64(3.0), "3"],
-                             ids=["float", "numpy_float", "str"])
+    @pytest.mark.parametrize("count", [0.75, np.float64(3.0), "3", True,
+                                       False],
+                             ids=["float", "numpy_float", "str", "true",
+                                  "false"])
     def test_non_integer_count_rejected(self, count):
-        # int() would read 0.75 as 0 modes.
+        # int() would read 0.75 as 0 modes, operator.index True as 1.
         rng = np.random.default_rng(10)
         aligned, _, mean = procrustes_align(random_shapes(rng, 30, v=8))
         with pytest.raises(DimensionError, match="integer"):

@@ -525,6 +525,16 @@ class TestFrameImageSampling:
         got = sample_frame_image(grids, frame, frame.positions)
         np.testing.assert_allclose(got[:, 0], vec, atol=1e-9)
 
+    @pytest.mark.parametrize("cut", ["one_channel_2d", "row_short"])
+    def test_grids_must_cover_the_frame(self, toy_engine, cut):
+        """Grids are the (k, H, W) array of `to_grid`; a 2-D grid or one
+        row short raises rather than being sampled at the wrong pixels."""
+        frame = toy_engine.frame
+        grids = frame.to_grid(np.ones(frame.n_pixels))
+        grids = grids[0] if cut == "one_channel_2d" else grids[:, 1:]
+        with pytest.raises(DimensionError, match="frame grids"):
+            sample_frame_image(grids, frame, frame.positions)
+
     def test_nan_outside_mask_propagates(self, toy_engine, rng):
         frame = toy_engine.frame
         grids = frame.to_grid(np.ones(frame.n_pixels))
