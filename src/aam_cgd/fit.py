@@ -1,0 +1,129 @@
+"""One compositional fit loop for every algorithm, configured by data.
+
+`FitConfig` is a point on the paper's three axes: the cost (`None` for
+SSD, an `AppearanceModel` for project-out (PO), a `BpoOperator` for
+Bayesian PO (BPO)), the composition (`alpha`: 0 inverse, 1 forward,
+between asymmetric) and the solver (Gauss-Newton or Newton).  Each step
+solves by the Schur complement on dc (`schur_solve`).  SSD's blocks are
+cross = -A^T J and xx = J^T J under Gauss-Newton and those of
+`newton_terms_asymmetric` under Newton; PO and BPO come reduced, as
+`gn_hessian(J, cost)`.  Not covered yet: Newton for PO and BPO, and
+bidirectional composition.  Calls name modules, so a tracer can wrap them.
+"""
+
+from dataclasses import dataclass
+from numbers import Integral, Real
+
+import numpy as np
+
+from . import appearance, jacobians, shape_model, warp
+from .errors import ConfigError, RankDeficiencyError
+
+STEP_TOL_PX = 0.01    # stop when the RMS landmark step falls below this
+
+
+@dataclass(frozen=True)
+class FitConfig:
+    cost: object            # None (SSD), AppearanceModel or BpoOperator
+    alpha: float            # 0 inverse, 1 forward, between asymmetric
+    solver: str = "gauss_newton"    # or "newton"
+    max_iters: int = 20
+
+    def __post_init__(self):
+        n = self.max_iters
+        if not (isinstance(self.alpha, Real) and 0.0 <= self.alpha <= 1.0):
+            raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
+        if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+            raise ConfigError(f"max_iters must be a positive int, got {n!r}")
+        if self.solver not in ("gauss_newton", "newton"):
+            raise ConfigError(f"unknown solver {self.solver!r}")
+        if self.solver == "newton" and self.cost is not None:
+            raise ConfigError("Newton is implemented for the SSD cost only")
+
+
+@dataclass(frozen=True)
+class Prepared:
+    engine: warp.WarpEngine
+    app: appearance.AppearanceModel
+    config: FitConfig
+    fixed: tuple | None     # (W J, H) for PO and BPO at alpha = 0
+
+
+@dataclass(frozen=True)
+class FitResult:
+    p: np.ndarray
+    c: np.ndarray           # empty for PO and BPO
+    iters: int
+    reason: str             # "converged" or "max_iters"
+
+
+def prepare(engine, app, config):
+    """What `fit` reads: PO and BPO at alpha = 0 have fixed W J and Hessian.
+    A cost must weigh by `app` itself."""
+    cost = config.cost
+    if cost is not None and appearance.cost_weights(cost)[0] is not app.basis:
+        raise ConfigError("the cost is built on another appearance model")
+    fixed = None
+    if cost is not None and config.alpha == 0.0:
+        J = jacobians.steepest_descent(
+            *jacobians.image_gradient(app.mean, engine.frame), engine.dWdp)
+        fixed = (appearance.project_out(cost, J),
+                 jacobians.gn_hessian(J, cost))
+    return Prepared(engine=engine, app=app, config=config, fixed=fixed)
+
+
+def fit(prep, image, p):
+    """Iterate from `p` until the RMS landmark step is below STEP_TOL_PX,
+    or `max_iters` times; SSD starts from the least-squares c at `p`."""
+    cfg, eng = prep.config, prep.engine
+    c = np.zeros(0) if cfg.cost is not None else appearance.project_appearance(
+        prep.app, warp.warp_to_reference(image, shape_model.shape_instance(
+            eng.model, p), eng.frame, eng.tri))
+    for iters in range(1, cfg.max_iters + 1):
+        dc, dp = schur_solve(*_linearize(prep, image, p, c))
+        c = c + dc
+        p = warp.compose(eng.model, eng.tri, p, dp)
+        if np.linalg.norm(dp) < STEP_TOL_PX * np.sqrt(eng.model.n_points):
+            return FitResult(p=p, c=c, iters=iters, reason="converged")
+    return FitResult(p=p, c=c, iters=iters, reason="max_iters")
+
+
+def _linearize(prep, image, p, c):
+    """(xx, g_p, cross, g_c) at (p, c); PO and BPO have no cross or g_c."""
+    cfg, eng, app = prep.config, prep.engine, prep.app
+    i = warp.warp_to_reference(
+        image, shape_model.shape_instance(eng.model, p), eng.frame, eng.tri)
+    t = app.mean if cfg.cost is not None else \
+        appearance.appearance_instance(app, c)
+    r = i - t
+    if prep.fixed is not None:
+        return prep.fixed[1], prep.fixed[0].T @ r
+    J = jacobians.steepest_descent(*jacobians.blend_gradients(
+        jacobians.image_gradient(i, eng.frame),
+        jacobians.image_gradient(t, eng.frame), cfg.alpha), eng.dWdp)
+    if cfg.cost is not None:
+        return (jacobians.gn_hessian(J, cfg.cost),
+                J.T @ appearance.project_out(cfg.cost, r))
+    g_c, g_p = -(app.basis.T @ r), J.T @ r
+    if cfg.solver == "gauss_newton":
+        return jacobians.gn_hessian(J), g_p, -(J.T @ app.basis).T, g_c
+    terms = jacobians.newton_terms_asymmetric(
+        app, eng.frame, eng.dWdp, r, jacobians.second_gradient(i, eng.frame),
+        jacobians.second_gradient(t, eng.frame), J, cfg.alpha)
+    return terms.xx, g_p, terms.cross, g_c
+
+
+def schur_solve(xx, g_p, cross=None, g_c=None):
+    """The step (dc, dp) of the Hessian [[I, cross], [cross^T, xx]] (as
+    A^T A = I) with gradient (g_c, g_p), forming no (m + P) matrix:
+    (xx - cross^T cross) dp = -(g_p - cross^T g_c), dc = -(g_c + cross dp).
+    No `cross` means m = 0.  A singular system raises `RankDeficiencyError`.
+    """
+    if cross is None:
+        cross, g_c = np.zeros((0, g_p.size)), np.zeros(0)
+    try:
+        dp = -np.linalg.solve(xx - cross.T @ cross, g_p - cross.T @ g_c)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficiencyError(f"singular reduced Hessian: {exc}",
+                                  condition=np.inf) from None
+    return -(g_c + cross @ dp), dp

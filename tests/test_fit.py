@@ -1,0 +1,187 @@
+"""The library fit loop against the benchmark's driver, and the paper's
+equivalences through the loop.
+
+The benchmark's model (68 points, P = 24, k = 3, m = 100) is built on the
+6.7k-pixel frame, and every workload configuration of
+`perfbench/bench.py` fits the same seeded `synth` cases with both loops:
+the iteration counts must match and the final parameters agree to 1e-8.
+"""
+
+import importlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from aam_cgd.appearance import (BpoOperator, build_appearance_model,
+                                 project_out)
+from aam_cgd.errors import ConfigError, DimensionError, RankDeficiencyError
+from aam_cgd.fit import FitConfig, fit, prepare, schur_solve
+from aam_cgd.jacobians import gn_hessian, image_gradient, steepest_descent
+from aam_cgd.shape_model import shape_instance, shape_to_points
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+N_PIXELS = 6700
+N_CASES = 4
+
+
+class Bench:
+    """The benchmark's model and cases, built once for the module."""
+
+    def __init__(self):
+        self.settings = importlib.import_module("bench")    # its constants
+        self.driver = importlib.import_module("driver")
+        synth = self.synth = importlib.import_module("synth")
+        rng = np.random.default_rng(self.settings.MODEL_SEED)
+        shapes = synth.training_shapes(rng)
+        self.engine, size = self.settings.build_engine(shapes, N_PIXELS)
+        source = synth.texture_source(rng, self.engine)
+        self.app = build_appearance_model(
+            source.sample(rng, synth.N_TRAIN_APPEARANCES),
+            n_components=self.settings.APPEARANCE_MODES)
+        rng = np.random.default_rng(1)
+        self.cases = [synth.make_case(rng, self.engine, source, size)
+                      for _ in range(N_CASES)]
+
+    def workload(self, name):
+        """The driver's config, the matching `FitConfig` and the start
+        error of one benchmark workload."""
+        _, fields, init_error, _ = self.settings.WORKLOADS[name]
+        ref = self.driver.Config(**fields)
+        config = FitConfig(
+            cost=self.app if ref.project_out else None, alpha=ref.alpha,
+            solver="gauss_newton" if ref.project_out else "newton",
+            max_iters=ref.max_iters)
+        return ref, config, init_error
+
+    def start(self, j, init_error):
+        case = self.cases[j]
+        return case, self.synth.perturb(np.random.default_rng([1, j]),
+                                        self.engine.model, case, init_error)
+
+    def fit(self, config, image, p0):
+        return fit(prepare(self.engine, self.app, config), image, p0)
+
+
+@pytest.fixture(scope="module")
+def bench():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        yield Bench()
+
+
+WORKLOADS = ["po_ic_hd", "po_asym_hd", "newton_sd"]
+
+
+def rel_gap(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+# po_asym_hd rebuilds J and the PO Hessian every step: over a second of
+# the fast loop, so it runs with the slow tests.
+@pytest.mark.parametrize("name", [
+    "po_ic_hd", pytest.param("po_asym_hd", marks=pytest.mark.slow),
+    "newton_sd"])
+def test_reproduces_driver(bench, name):
+    ref_config, config, init_error = bench.workload(name)
+    driver_fitter = bench.driver.Fitter(bench.engine, bench.app, ref_config)
+    prep = prepare(bench.engine, bench.app, config)
+    for j in range(N_CASES):
+        case, p0 = bench.start(j, init_error)
+        ref = driver_fitter.fit(case.image, p0)
+        res = fit(prep, case.image, p0)
+        assert res.iters == ref.iters
+        assert res.reason == "converged" or res.iters == config.max_iters
+        assert rel_gap(res.p, ref.p) <= 1e-8
+        assert res.c.size == (0 if config.cost is not None
+                              else bench.app.n_components)
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_ground_truth_is_fixed_point(bench, name):
+    _, config, _ = bench.workload(name)
+    case = bench.cases[0]
+    res = bench.fit(config, case.image, case.p_true)
+    err = bench.driver.point_error(bench.engine.model, res.p, case)
+    assert err < bench.settings.FIXED_POINT_TOL
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_bpo_at_rho_zero_fits_like_project_out(bench, alpha):
+    """BPO at rho = 0 is PO scaled by 1 / sigma^2: the same steps."""
+    po = FitConfig(cost=bench.app, alpha=alpha)
+    bpo = FitConfig(cost=BpoOperator(bench.app, rho=0.0), alpha=alpha)
+    case, p0 = bench.start(0, 0.03)
+    a, b = bench.fit(po, case.image, p0), bench.fit(bpo, case.image, p0)
+    assert a.iters == b.iters
+    assert rel_gap(b.p, a.p) <= 1e-12
+
+
+def test_schur_reduced_ssd_step_is_project_out_step(bench):
+    """SSD Gauss-Newton blocks cross = -A^T J, xx = J^T J, reduced on dc,
+    give the PO step -(J^T P J)^-1 J^T P r."""
+    app, frame = bench.app, bench.engine.frame
+    J = steepest_descent(*image_gradient(app.mean, frame), bench.engine.dWdp)
+    r = np.random.default_rng(3).standard_normal(app.n_features)
+    A = app.basis
+    _, dp = schur_solve(J.T @ J, J.T @ r, -(A.T @ J), -(A.T @ r))
+    po = -np.linalg.solve(gn_hessian(J, app), J.T @ project_out(app, r))
+    assert rel_gap(dp, po) <= 1e-10
+
+
+def test_forward_ssd_gauss_newton_fits_like_project_out(bench):
+    """At alpha = 1 the Jacobian is the image's alone, so SSD Gauss-Newton
+    over (dc, dp) and PO take the same steps through the whole loop."""
+    ssd = FitConfig(cost=None, alpha=1.0)
+    po = FitConfig(cost=bench.app, alpha=1.0)
+    case, p0 = bench.start(1, 0.006)
+    a, b = bench.fit(ssd, case.image, p0), bench.fit(po, case.image, p0)
+    assert a.iters == b.iters
+    assert rel_gap(a.p, b.p) <= 1e-10
+
+
+@pytest.mark.parametrize("cost, solver", [("po", "gauss_newton"),
+                                          (None, "gauss_newton"),
+                                          (None, "newton")])
+def test_constant_image_is_rank_deficient(bench, cost, solver):
+    """Forward composition reads the image gradient only, so a constant
+    image gives J = 0 and a singular reduced Hessian."""
+    config = FitConfig(cost=bench.app if cost else None, alpha=1.0,
+                       solver=solver)
+    case, p0 = bench.start(0, 0.006)
+    with pytest.raises(RankDeficiencyError):
+        bench.fit(config, np.full_like(case.image, 0.5), p0)
+
+
+@pytest.mark.parametrize("name", ["po_asym_hd", "newton_sd"])
+def test_non_finite_input_raises(bench, name):
+    _, config, _ = bench.workload(name)
+    case, p0 = bench.start(0, 0.006)
+    image = case.image.copy()
+    x, y = shape_to_points(shape_instance(bench.engine.model, p0)).mean(0)
+    image[int(y), int(x)] = np.nan          # the face's centre
+    with pytest.raises(DimensionError):
+        bench.fit(config, image, p0)
+    with pytest.raises(DimensionError):
+        bench.fit(config, case.image, np.full_like(p0, np.nan))
+
+
+@pytest.mark.parametrize("fields", [
+    dict(alpha=-0.1), dict(alpha=1.5), dict(alpha=np.nan), dict(alpha="0"),
+    dict(max_iters=0), dict(max_iters=2.0), dict(max_iters=True),
+    dict(max_iters="3"), dict(solver="levenberg"),
+    dict(cost="po", solver="newton"), dict(cost="bpo", solver="newton"),
+], ids=lambda f: "-".join(f"{k}={v}" for k, v in f.items()))
+def test_config_rejects(bench, fields):
+    costs = {"po": bench.app, "bpo": BpoOperator(bench.app)}
+    fields = dict(dict(cost=None, alpha=0.5), **fields)
+    fields["cost"] = costs.get(fields["cost"], fields["cost"])
+    with pytest.raises(ConfigError):
+        FitConfig(**fields)
+
+
+def test_cost_of_another_model_rejected(bench):
+    other = build_appearance_model(
+        [bench.app.mean + s * bench.app.basis[:, 0] for s in (-1, 0, 1)])
+    with pytest.raises(ConfigError):
+        prepare(bench.engine, bench.app, FitConfig(cost=other, alpha=0.5))
