@@ -59,8 +59,9 @@ def build_appearance_model(warped_images, n_components=None):
 
     `n_components` follows the shape-model convention: an integer mode
     count (capped at the rank, with a warning) or None for full rank.  The
-    image noise is the mean discarded eigenvalue, floored at 1e-8 times the
-    leading eigenvalue so the Bayesian operator stays well defined.
+    image noise is the mean discarded eigenvalue (0 if none is discarded),
+    floored at SIGMA_FLOOR_REL times the leading eigenvalue so the Bayesian
+    operator stays well defined; SIGMA_FLOOR_ABS if both are 0.
 
     The stacked, centred training matrix is the only data-sized array the
     build makes: with fewer images than values, `pca` forms the basis in
@@ -85,12 +86,9 @@ def build_appearance_model(warped_images, n_components=None):
     basis, evals = pca(X, float(data_mean @ data_mean), n_components,
                        "appearance")
     discarded = evals[basis.shape[1]:]
-    if discarded.size:
-        noise = float(discarded.mean())
-    else:
-        noise = float(evals[0]) * SIGMA_FLOOR_REL if evals.size else 0.0
-    if noise <= 0:
-        noise = SIGMA_FLOOR_ABS
+    top = float(evals[0]) if evals.size else 0.0
+    noise = max(float(discarded.mean()) if discarded.size else 0.0,
+                SIGMA_FLOOR_REL * top) or SIGMA_FLOOR_ABS
 
     mean = data_mean - basis @ (basis.T @ data_mean)
     eigenvalues = evals[:basis.shape[1]].copy()

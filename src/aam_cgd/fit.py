@@ -4,7 +4,9 @@
 SSD, an `AppearanceModel` for project-out (PO), a `BpoOperator` for
 Bayesian PO (BPO)), the composition (`alpha`: 0 inverse, 1 forward,
 between asymmetric) and the solver (Gauss-Newton or Newton).  Each step
-solves by the Schur complement on dc (`schur_solve`).  SSD's blocks are
+warps the image once, at the current p (SSD's start c is the first
+warp's least-squares projection), linearises there, solves by the Schur
+complement on dc (`schur_solve`) and composes.  SSD's blocks are
 cross = -A^T J and xx = J^T J under Gauss-Newton and those of
 `newton_terms_asymmetric` under Newton; PO and BPO come reduced, as
 `gn_hessian(J, cost)`.  Not covered yet: Newton for PO and BPO, and
@@ -17,7 +19,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import appearance, jacobians, shape_model, warp
-from .errors import ConfigError, RankDeficiencyError
+from .errors import ConfigError, DimensionError, RankDeficiencyError
 
 STEP_TOL_PX = 0.01    # stop when the RMS landmark step falls below this
 
@@ -30,9 +32,15 @@ class FitConfig:
     max_iters: int = 20
 
     def __post_init__(self):
-        n = self.max_iters
-        if not (isinstance(self.alpha, Real) and 0.0 <= self.alpha <= 1.0):
-            raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
+        n, a = self.max_iters, self.alpha
+        if self.cost is not None:
+            try:
+                appearance.cost_weights(self.cost)
+            except DimensionError:
+                raise ConfigError(
+                    f"unsupported cost {type(self.cost).__name__}") from None
+        if isinstance(a, bool) or not (isinstance(a, Real) and 0 <= a <= 1):
+            raise ConfigError(f"alpha must lie in [0, 1], got {a!r}")
         if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
             raise ConfigError(f"max_iters must be a positive int, got {n!r}")
         if self.solver not in ("gauss_newton", "newton"):
@@ -74,13 +82,14 @@ def prepare(engine, app, config):
 
 def fit(prep, image, p):
     """Iterate from `p` until the RMS landmark step is below STEP_TOL_PX,
-    or `max_iters` times; SSD starts from the least-squares c at `p`."""
+    or `max_iters` times; SSD's start c is the first warp's projection."""
     cfg, eng = prep.config, prep.engine
-    c = np.zeros(0) if cfg.cost is not None else appearance.project_appearance(
-        prep.app, warp.warp_to_reference(image, shape_model.shape_instance(
-            eng.model, p), eng.frame, eng.tri))
+    c = np.zeros(0) if cfg.cost is not None else None
     for iters in range(1, cfg.max_iters + 1):
-        dc, dp = schur_solve(*_linearize(prep, image, p, c))
+        i = warp.warp_to_reference(image, shape_model.shape_instance(
+            eng.model, p), eng.frame, eng.tri)
+        c = appearance.project_appearance(prep.app, i) if c is None else c
+        dc, dp = schur_solve(*_linearize(prep, i, c))
         c = c + dc
         p = warp.compose(eng.model, eng.tri, p, dp)
         if np.linalg.norm(dp) < STEP_TOL_PX * np.sqrt(eng.model.n_points):
@@ -88,11 +97,9 @@ def fit(prep, image, p):
     return FitResult(p=p, c=c, iters=iters, reason="max_iters")
 
 
-def _linearize(prep, image, p, c):
-    """(xx, g_p, cross, g_c) at (p, c); PO and BPO have no cross or g_c."""
+def _linearize(prep, i, c):
+    """(xx, g_p, cross, g_c) at (i, c); PO and BPO have no cross or g_c."""
     cfg, eng, app = prep.config, prep.engine, prep.app
-    i = warp.warp_to_reference(
-        image, shape_model.shape_instance(eng.model, p), eng.frame, eng.tri)
     t = app.mean if cfg.cost is not None else \
         appearance.appearance_instance(app, c)
     r = i - t

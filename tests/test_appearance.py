@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aam_cgd.appearance import (AppearanceModel, BpoOperator,
-                                appearance_instance, build_appearance_model,
-                                project_appearance, project_out)
+from aam_cgd.appearance import (SIGMA_FLOOR_REL, AppearanceModel,
+                                BpoOperator, appearance_instance,
+                                build_appearance_model, project_appearance,
+                                project_out)
 from aam_cgd.errors import ConfigError, DimensionError
 from aam_cgd.shape_model import (_GRAM_BLOCK, build_shape_model,
                                  procrustes_align, project_shape,
@@ -75,6 +76,16 @@ class TestBuildAppearanceModel:
         cut = build_appearance_model(list(data), n_components=3)
         expected = full.eigenvalues[3:full.eigenvalues.size].mean()
         np.testing.assert_allclose(cut.image_noise, expected, rtol=1e-6)
+
+    def test_noise_floored_when_discarded_modes_are_tiny(self, rng):
+        """The floor holds when modes are discarded too: a sixth mode
+        scaled by 1e-5 has a variance far below 1e-8 of the top one."""
+        basis = np.linalg.qr(rng.standard_normal((50, 6)))[0]
+        scale = np.array([6.0, 5.0, 4.0, 3.0, 2.0, 1e-5])
+        data = rng.standard_normal((20, 6)) @ (basis * scale).T
+        model = build_appearance_model(list(data), n_components=5)
+        assert model.image_noise == pytest.approx(
+            SIGMA_FLOOR_REL * model.eigenvalues[0], rel=1e-12)
 
     def test_mean_orthogonal_to_basis(self, rng):
         model, _ = random_model(rng, dim=45, m=5)

@@ -1,18 +1,23 @@
-"""The library fit loop against the benchmark's driver, and the paper's
-equivalences through the loop.
+"""The library fit loop against the benchmark's driver, end to end for
+every combination it supports, and the paper's equivalences through the
+loop.
 
 The benchmark's model (68 points, P = 24, k = 3, m = 100) is built on the
 6.7k-pixel frame, and every workload configuration of
 `perfbench/bench.py` fits the same seeded `synth` cases with both loops:
 the iteration counts must match and the final parameters agree to 1e-8.
+Every cost, alpha and solver the loop takes keeps ground truth fixed and
+converges from the benchmark's start noise on those cases.
 """
 
+import dataclasses
 import importlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from aam_cgd import warp
 from aam_cgd.appearance import (BpoOperator, build_appearance_model,
                                  project_out)
 from aam_cgd.errors import ConfigError, DimensionError, RankDeficiencyError
@@ -54,6 +59,15 @@ class Bench:
             max_iters=ref.max_iters)
         return ref, config, init_error
 
+    def config(self, cost, alpha, solver="gauss_newton"):
+        """A `FitConfig` by cost name: "ssd", "po" or "bpo" (rho = 0.5)."""
+        costs = {"ssd": None, "po": self.app,
+                 "bpo": BpoOperator(self.app, rho=0.5)}
+        return FitConfig(cost=costs[cost], alpha=alpha, solver=solver)
+
+    def error(self, p, case):
+        return self.driver.point_error(self.engine.model, p, case)
+
     def start(self, j, init_error):
         case = self.cases[j]
         return case, self.synth.perturb(np.random.default_rng([1, j]),
@@ -68,9 +82,6 @@ def bench():
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(PERFBENCH))
         yield Bench()
-
-
-WORKLOADS = ["po_ic_hd", "po_asym_hd", "newton_sd"]
 
 
 def rel_gap(a, b):
@@ -97,13 +108,68 @@ def test_reproduces_driver(bench, name):
                               else bench.app.n_components)
 
 
-@pytest.mark.parametrize("name", WORKLOADS)
-def test_ground_truth_is_fixed_point(bench, name):
-    _, config, _ = bench.workload(name)
+@pytest.mark.parametrize("name, stop", [("newton_sd", "converged"),
+                                        ("po_ic_hd", "converged"),
+                                        ("newton_sd", "max_iters")])
+def test_one_warp_per_iteration(bench, monkeypatch, name, stop):
+    """The SSD start reads the first step's warp, and no warp follows the
+    last step, whether the fit converges or runs out of iterations."""
+    _, config, init_error = bench.workload(name)
+    if stop == "max_iters":
+        config = dataclasses.replace(config, max_iters=1)
+    calls, warp_to_reference = [], warp.warp_to_reference
+
+    def counted(*args):
+        calls.append(args)
+        return warp_to_reference(*args)
+
+    monkeypatch.setattr(warp, "warp_to_reference", counted)
+    case, p0 = bench.start(0, init_error)
+    res = bench.fit(config, case.image, p0)
+    assert res.reason == stop
+    assert len(calls) == res.iters
+
+
+ALPHAS = [0.0, 0.5, 1.0]
+COMBINATIONS = [(cost, alpha, "gauss_newton") for cost in ("ssd", "po", "bpo")
+                for alpha in ALPHAS] + [("ssd", alpha, "newton")
+                                        for alpha in ALPHAS]
+
+
+@pytest.mark.parametrize("cost, alpha, solver", COMBINATIONS)
+def test_ground_truth_is_fixed_point(bench, cost, alpha, solver):
     case = bench.cases[0]
-    res = bench.fit(config, case.image, case.p_true)
-    err = bench.driver.point_error(bench.engine.model, res.p, case)
-    assert err < bench.settings.FIXED_POINT_TOL
+    res = bench.fit(bench.config(cost, alpha, solver), case.image,
+                    case.p_true)
+    assert bench.error(res.p, case) < bench.settings.FIXED_POINT_TOL
+
+
+# The benchmark's start noise: 0.03 face sizes for its Gauss-Newton
+# workloads, 0.006 for its Newton one.  PO and BPO at alpha > 0 rebuild
+# their Hessian each step, over two seconds of the fast loop together, so
+# they run with the slow tests.
+START_ERROR = {"gauss_newton": 0.03, "newton": 0.006}
+SSD_NEWTON_DIVERGES = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="undamped SSD Newton diverges from 0.03 face sizes at every "
+           "alpha (finite p, stop reason max_iters); ROADMAP item 2")
+
+
+@pytest.mark.parametrize("cost, alpha, solver, init_error", [
+    pytest.param(cost, alpha, solver, START_ERROR[solver],
+                 marks=pytest.mark.slow if cost != "ssd" and alpha else ())
+    for cost, alpha, solver in COMBINATIONS
+] + [pytest.param("ssd", alpha, "newton", 0.03,
+                  marks=[SSD_NEWTON_DIVERGES, pytest.mark.slow])
+     for alpha in ALPHAS])
+def test_every_combination_converges(bench, cost, alpha, solver,
+                                     init_error):
+    config = bench.config(cost, alpha, solver)
+    prep = prepare(bench.engine, bench.app, config)
+    for j in range(N_CASES):
+        case, p0 = bench.start(j, init_error)
+        res = fit(prep, case.image, p0)
+        assert bench.error(res.p, case) < bench.settings.DIVERGED_ERR
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
@@ -168,6 +234,8 @@ def test_non_finite_input_raises(bench, name):
 
 @pytest.mark.parametrize("fields", [
     dict(alpha=-0.1), dict(alpha=1.5), dict(alpha=np.nan), dict(alpha="0"),
+    dict(alpha=True), dict(alpha=False), dict(cost="project_out"),
+    dict(cost=1.0),
     dict(max_iters=0), dict(max_iters=2.0), dict(max_iters=True),
     dict(max_iters="3"), dict(solver="levenberg"),
     dict(cost="po", solver="newton"), dict(cost="bpo", solver="newton"),
