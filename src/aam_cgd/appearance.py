@@ -9,6 +9,7 @@ vectors are channel-major, matching `warp.warp_to_reference`.
 """
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 from scipy.linalg.blas import daxpy
@@ -150,8 +151,14 @@ class BpoOperator:
     rho: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 <= self.rho <= 1.0:
-            raise ConfigError(f"rho must lie in [0, 1], got {self.rho}")
+        check_unit_interval(self.rho, "rho")
+
+
+def check_unit_interval(x, what):
+    """The one [0, 1] rule: `x` is a real number, not a bool, in [0, 1],
+    else `ConfigError` naming `what`."""
+    if isinstance(x, bool) or not (isinstance(x, Real) and 0 <= x <= 1):
+        raise ConfigError(f"{what} must lie in [0, 1], got {x!r}")
 
 
 def cost_weights(cost):

@@ -1,12 +1,12 @@
 """One compositional fit loop for every algorithm, configured by data.
 
-`FitConfig` is a point on the paper's three axes: the cost (`None` for
-SSD, an `AppearanceModel` for project-out (PO), a `BpoOperator` for
-Bayesian PO (BPO)), the composition (`alpha`: 0 inverse, 1 forward,
-between asymmetric) and the solver (Gauss-Newton or Newton).  Each step
-warps the image once, at the current p (SSD's start c is the first
-warp's least-squares projection), linearises there, solves by the Schur
-complement on dc (`schur_solve`) and composes.  SSD's blocks are
+`FitConfig` is a point on the paper's three axes: the cost (`rho`: None
+for SSD, else Bayesian project-out (BPO) at rho; rho = 0 is project-out
+(PO) over sigma^2, the same steps), the composition (`alpha`: 0 inverse,
+1 forward, between asymmetric) and the solver (Gauss-Newton or Newton).
+Each step warps the image once, at the current p (SSD's start c is the
+first warp's least-squares projection), linearises there, solves by the
+Schur complement on dc (`schur_solve`) and composes.  SSD's blocks are
 cross = -A^T J and xx = J^T J under Gauss-Newton and those of
 `newton_terms_asymmetric` under Newton; PO and BPO come reduced, as
 `gn_hessian(J, cost)`.  Not covered yet: Newton for PO and BPO, and
@@ -14,38 +14,33 @@ bidirectional composition.  Calls name modules, so a tracer can wrap them.
 """
 
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
 from . import appearance, jacobians, shape_model, warp
-from .errors import ConfigError, DimensionError, RankDeficiencyError
+from .errors import ConfigError, RankDeficiencyError
 
 STEP_TOL_PX = 0.01    # stop when the RMS landmark step falls below this
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    cost: object            # None (SSD), AppearanceModel or BpoOperator
     alpha: float            # 0 inverse, 1 forward, between asymmetric
+    rho: float | None = None        # None SSD, else BPO (0 is PO)
     solver: str = "gauss_newton"    # or "newton"
     max_iters: int = 20
 
     def __post_init__(self):
-        n, a = self.max_iters, self.alpha
-        if self.cost is not None:
-            try:
-                appearance.cost_weights(self.cost)
-            except DimensionError:
-                raise ConfigError(
-                    f"unsupported cost {type(self.cost).__name__}") from None
-        if isinstance(a, bool) or not (isinstance(a, Real) and 0 <= a <= 1):
-            raise ConfigError(f"alpha must lie in [0, 1], got {a!r}")
+        n = self.max_iters
+        appearance.check_unit_interval(self.alpha, "alpha")
+        if self.rho is not None:
+            appearance.check_unit_interval(self.rho, "rho")
         if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
             raise ConfigError(f"max_iters must be a positive int, got {n!r}")
         if self.solver not in ("gauss_newton", "newton"):
             raise ConfigError(f"unknown solver {self.solver!r}")
-        if self.solver == "newton" and self.cost is not None:
+        if self.solver == "newton" and self.rho is not None:
             raise ConfigError("Newton is implemented for the SSD cost only")
 
 
@@ -54,6 +49,7 @@ class Prepared:
     engine: warp.WarpEngine
     app: appearance.AppearanceModel
     config: FitConfig
+    cost: appearance.BpoOperator | None     # None for SSD
     fixed: tuple | None     # (W J, H) for PO and BPO at alpha = 0
 
 
@@ -66,28 +62,28 @@ class FitResult:
 
 
 def prepare(engine, app, config):
-    """What `fit` reads: PO and BPO at alpha = 0 have fixed W J and Hessian.
-    A cost must weigh by `app` itself."""
-    cost = config.cost
-    if cost is not None and appearance.cost_weights(cost)[0] is not app.basis:
-        raise ConfigError("the cost is built on another appearance model")
+    """What `fit` reads: the cost on `app` and, for PO and BPO at
+    alpha = 0, the fixed W J and Hessian."""
+    rho = config.rho
+    cost = None if rho is None else appearance.BpoOperator(app, rho)
     fixed = None
     if cost is not None and config.alpha == 0.0:
         J = jacobians.steepest_descent(
             *jacobians.image_gradient(app.mean, engine.frame), engine.dWdp)
         fixed = (appearance.project_out(cost, J),
                  jacobians.gn_hessian(J, cost))
-    return Prepared(engine=engine, app=app, config=config, fixed=fixed)
+    return Prepared(engine, app, config, cost, fixed)
 
 
 def fit(prep, image, p):
     """Iterate from `p` until the RMS landmark step is below STEP_TOL_PX,
     or `max_iters` times; SSD's start c is the first warp's projection."""
     cfg, eng = prep.config, prep.engine
-    c = np.zeros(0) if cfg.cost is not None else None
+    c = np.zeros(0) if prep.cost is not None else None
     for iters in range(1, cfg.max_iters + 1):
-        i = warp.warp_to_reference(image, shape_model.shape_instance(
-            eng.model, p), eng.frame, eng.tri)
+        i = shape_model.as_array(warp.warp_to_reference(
+            image, shape_model.shape_instance(eng.model, p), eng.frame,
+            eng.tri), (prep.app.n_features,), "warped image")
         c = appearance.project_appearance(prep.app, i) if c is None else c
         dc, dp = schur_solve(*_linearize(prep, i, c))
         c = c + dc
@@ -99,8 +95,8 @@ def fit(prep, image, p):
 
 def _linearize(prep, i, c):
     """(xx, g_p, cross, g_c) at (i, c); PO and BPO have no cross or g_c."""
-    cfg, eng, app = prep.config, prep.engine, prep.app
-    t = app.mean if cfg.cost is not None else \
+    cfg, eng, app, cost = prep.config, prep.engine, prep.app, prep.cost
+    t = app.mean if cost is not None else \
         appearance.appearance_instance(app, c)
     r = i - t
     if prep.fixed is not None:
@@ -108,9 +104,9 @@ def _linearize(prep, i, c):
     J = jacobians.steepest_descent(*jacobians.blend_gradients(
         jacobians.image_gradient(i, eng.frame),
         jacobians.image_gradient(t, eng.frame), cfg.alpha), eng.dWdp)
-    if cfg.cost is not None:
-        return (jacobians.gn_hessian(J, cfg.cost),
-                J.T @ appearance.project_out(cfg.cost, r))
+    if cost is not None:
+        return (jacobians.gn_hessian(J, cost),
+                J.T @ appearance.project_out(cost, r))
     g_c, g_p = -(app.basis.T @ r), J.T @ r
     if cfg.solver == "gauss_newton":
         return jacobians.gn_hessian(J), g_p, -(J.T @ app.basis).T, g_c

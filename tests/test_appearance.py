@@ -287,11 +287,11 @@ class TestBpo:
         np.testing.assert_allclose(cost, expected, rtol=1e-12)
 
     def test_rho_out_of_range_rejected(self, rng):
+        """rho must be a real number in [0, 1]; a bool is not one."""
         model, _ = random_model(rng)
-        with pytest.raises(ConfigError):
-            BpoOperator(model, rho=1.5)
-        with pytest.raises(ConfigError):
-            BpoOperator(model, rho=-0.1)
+        for rho in (True, False, "0.5", np.nan, -0.1, 1.5):
+            with pytest.raises(ConfigError):
+                BpoOperator(model, rho=rho)
 
     def test_reduces_to_project_out_for_huge_variances(self, rng):
         model, _ = random_model(rng, noise=0.1)

@@ -1,12 +1,13 @@
-"""Every module of the package uses each name it imports: deleted code
-takes its imports with it."""
+"""Every module of the package and of the tests uses each name it
+imports: deleted code takes its imports with it."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "aam_cgd"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "aam_cgd"
 
 
 def unused_imports(source):
@@ -25,7 +26,7 @@ def test_checker_finds_unused_import():
     assert unused_imports(source) == ["I", "os"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py"))
+                         + sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
