@@ -71,9 +71,8 @@ def face_size(s):
     return float(size)
 
 
-def _unit_centred(z):
-    """Complex landmark rows (..., v) moved to zero centroid and unit norm."""
-    z = z - z.mean(axis=-1, keepdims=True)
+def _unit_norm(z):
+    """Complex landmark rows (..., v) scaled to unit norm."""
     norm = np.linalg.norm(z, axis=-1, keepdims=True)
     if not np.all(np.isfinite(norm) & (norm > 0)):
         raise DegeneracyError("degenerate shape: all landmarks coincide")
@@ -98,8 +97,9 @@ def procrustes_align(shapes):
     the (n, 4) rows (Re a_i, Im a_i, Re t_i, Im t_i), and the mean, which
     has zero centroid and unit norm.
 
-    The initial reference is the average of the centred, unit-normalized
-    inputs, which makes the result independent of input ordering.
+    Translation is removed once, by centring the inputs: each reference, an
+    average of centred shapes, is only normalized.  The first averages the
+    unit-normalized inputs, so the input order does not change the result.
     """
     if len(shapes) < 2:
         raise InsufficientDataError("need at least 2 shapes to align")
@@ -109,10 +109,10 @@ def procrustes_align(shapes):
     z = np.stack(shapes).view(np.complex128)          # (n, v)
     t = z.mean(axis=1)
     centred = z - t[:, None]
-    mean = _unit_centred(_unit_centred(z).mean(axis=0))
+    mean = _unit_norm(_unit_norm(centred).mean(axis=0))
     for _ in range(PROCRUSTES_MAX_ITERS):
         a = _scale_rotation(centred, mean)
-        new_mean = _unit_centred((centred / a[:, None]).mean(axis=0))
+        new_mean = _unit_norm((centred / a[:, None]).mean(axis=0))
         change = np.linalg.norm(new_mean - mean)
         mean = new_mean
         if change < PROCRUSTES_TOL:
@@ -126,11 +126,10 @@ def procrustes_align(shapes):
 def similarity_basis(mean):
     """Orthonormal 2v x 4 differential similarity basis of the mean shape.
 
-    Column order: x-translation, y-translation, scale, rotation.  Scale and
-    rotation differentials are taken about the mean's centroid.
+    Column order: x-translation, y-translation, scale, rotation; the QR
+    takes the centroid out of the last two, as the translations precede them.
     """
     pts = shape_to_points(as_shape(mean))
-    pts = pts - pts.mean(axis=0)
     cols = np.zeros((pts.size, 4))
     cols[0::2, 0] = 1.0                      # d/d tx
     cols[1::2, 1] = 1.0                      # d/d ty
@@ -304,11 +303,11 @@ def build_shape_model(aligned, mean, n_components=None):
         raise InsufficientDataError("need at least 2 aligned shapes")
     mean = as_shape(mean)
     X = np.stack([as_vector(s, mean.size, "aligned shape coordinates")
-                  for s in aligned]) - mean
+                  for s in aligned])
 
     sim = similarity_basis(mean)
-    # Non-rigid modes live in the orthogonal complement of the similarity
-    # columns; projecting first keeps the joint basis exactly orthonormal.
+    # Non-rigid modes live in the complement of the similarity span, which
+    # holds the mean: projecting centres X and keeps the basis orthonormal.
     X -= (X @ sim) @ sim.T
     comps, evals = pca(X, float(mean @ mean), n_components, "shape")
 

@@ -408,3 +408,34 @@ def test_linear_model_rules_shared(rng, kind, defect):
     model.validate()
     with pytest.raises(DimensionError, match=kind):
         replace(model, **change).validate()
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("odd_mean", "even length"), ("three_columns", "4 similarity columns")])
+def test_shape_model_rules(rng, defect, message):
+    """A shape model's own rules.  A basis cut to 3 columns also fails the
+    eigenvalue count, so each check is told apart by its message."""
+    model = make_toy_shape_model(rng)
+    change = {"odd_mean": {"mean": model.mean[:-1]},
+              "three_columns": {"basis": model.basis[:, :3]}}[defect]
+    with pytest.raises(DimensionError, match=message):
+        replace(model, **change).validate()
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("mean_in_span", "not orthogonal"), ("zero_noise", "positive"),
+    ("negative_noise", "positive")])
+def test_appearance_model_rules(rng, defect, message):
+    model, _ = random_model(rng)
+    change = {"mean_in_span": {"mean": model.mean + model.basis[:, 0]},
+              "zero_noise": {"image_noise": 0.0},
+              "negative_noise": {"image_noise": -1.0}}[defect]
+    with pytest.raises(DimensionError, match=message):
+        replace(model, **change).validate()
+
+
+@pytest.mark.parametrize("kind", ["shape", "appearance"])
+def test_equal_eigenvalues_accepted(rng, kind):
+    model = (make_toy_shape_model(rng) if kind == "shape"
+             else random_model(rng)[0])
+    replace(model, eigenvalues=np.ones_like(model.eigenvalues)).validate()

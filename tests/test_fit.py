@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aam_cgd import warp
+from aam_cgd import jacobians, warp
 from aam_cgd.appearance import build_appearance_model, project_out
 from aam_cgd.errors import ConfigError, DimensionError, RankDeficiencyError
 from aam_cgd.fit import FitConfig, fit, prepare, schur_solve
@@ -87,6 +87,18 @@ def rel_gap(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
+def count_calls(monkeypatch, module, name):
+    """The argument tuples of every later call of `module.name`."""
+    calls, original = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 # po_asym_hd rebuilds J and the PO Hessian every step: over a second of
 # the fast loop, so it runs with the slow tests.
 @pytest.mark.parametrize("name", [
@@ -116,17 +128,23 @@ def test_one_warp_per_iteration(bench, monkeypatch, name, stop):
     _, config, init_error = bench.workload(name)
     if stop == "max_iters":
         config = dataclasses.replace(config, max_iters=1)
-    calls, warp_to_reference = [], warp.warp_to_reference
-
-    def counted(*args):
-        calls.append(args)
-        return warp_to_reference(*args)
-
-    monkeypatch.setattr(warp, "warp_to_reference", counted)
+    calls = count_calls(monkeypatch, warp, "warp_to_reference")
     case, p0 = bench.start(0, init_error)
     res = bench.fit(config, case.image, p0)
     assert res.reason == stop
     assert len(calls) == res.iters
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5])
+def test_inverse_composition_fixes_its_jacobian(bench, monkeypatch, rho):
+    """PO and BPO at alpha = 0 take the image gradient of the mean once,
+    in `prepare`, and never in `fit`."""
+    calls = count_calls(monkeypatch, jacobians, "image_gradient")
+    prep = prepare(bench.engine, bench.app, FitConfig(alpha=0.0, rho=rho))
+    assert len(calls) == 1
+    case, p0 = bench.start(0, 0.03)
+    assert fit(prep, case.image, p0).iters > 1
+    assert len(calls) == 1
 
 
 ALPHAS = [0.0, 0.5, 1.0]
@@ -202,8 +220,9 @@ def test_constant_image_is_rank_deficient(bench, cost, solver):
     image gives J = 0 and a singular reduced Hessian."""
     config = FitConfig(alpha=1.0, rho=0.0 if cost else None, solver=solver)
     case, p0 = bench.start(0, 0.006)
-    with pytest.raises(RankDeficiencyError):
+    with pytest.raises(RankDeficiencyError) as info:
         bench.fit(config, np.full_like(case.image, 0.5), p0)
+    assert info.value.condition == np.inf
 
 
 @pytest.mark.parametrize("name", ["po_asym_hd", "newton_sd"])

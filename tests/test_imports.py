@@ -1,5 +1,5 @@
-"""Every module of the package and of the tests uses each name it
-imports: deleted code takes its imports with it."""
+"""Every module of the package, the tests and the tools uses each name
+it imports: deleted code takes its imports with it."""
 
 import ast
 from pathlib import Path
@@ -8,6 +8,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "aam_cgd"
+TOOLS = TESTS.parent / "tools"
 
 
 def unused_imports(source):
@@ -27,6 +28,7 @@ def test_checker_finds_unused_import():
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py"))
-                         + sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+                         + sorted(TESTS.glob("*.py"))
+                         + sorted(TOOLS.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aam_cgd import shape_model
 from aam_cgd.errors import (DegeneracyError, DimensionError,
                             InsufficientDataError)
 from aam_cgd.shape_model import (as_shape, build_shape_model, face_size,
@@ -85,6 +86,20 @@ class TestProcrustes:
             np.testing.assert_allclose(al, inv, rtol=0,
                                        atol=1e-12 * np.abs(inv).max())
 
+    def test_rows_fit_the_returned_mean_when_capped(self, monkeypatch):
+        """Stopped by its iteration cap, before the mean converges, the
+        alignment still returns each shape's least-squares similarity
+        against the mean it returns."""
+        monkeypatch.setattr(shape_model, "PROCRUSTES_MAX_ITERS", 1)
+        rng = np.random.default_rng(16)
+        shapes = [similar(s, 1.0 + i, 0.3 * i, (i, -i))
+                  for i, s in enumerate(random_shapes(rng, 6, spread=0.3))]
+        _, sims, mean = procrustes_align(shapes)
+        for s, row in zip(shapes, sims):
+            ref = similarity_lstsq(mean, s)
+            np.testing.assert_allclose(row, ref, rtol=0,
+                                       atol=1e-12 * np.abs(ref).max())
+
     def test_mean_stable_under_more_iterations(self):
         # The mean is a fixed point: one more alignment step, which
         # averages the aligned shapes, centres and normalizes, returns it.
@@ -130,6 +145,27 @@ class TestProcrustes:
     def test_single_shape_rejected(self):
         with pytest.raises(InsufficientDataError):
             procrustes_align([np.arange(6.0)])
+
+    @pytest.mark.parametrize("n", [7, 4])
+    def test_odd_or_short_shape_rejected(self, n):
+        """A typed error, where numpy's complex view would raise a
+        ValueError on 7 values and 4 values would align as two points."""
+        s = np.arange(n, dtype=np.float64)
+        with pytest.raises(DimensionError, match="even length >= 6"):
+            procrustes_align([s, 2.0 * s])
+
+    def test_nan_coordinate_rejected(self):
+        s = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0])
+        with pytest.raises(DimensionError, match="non-finite"):
+            procrustes_align([s, np.append(s[:-1], np.nan)])
+
+    def test_shape_orthogonal_to_reference_rejected(self):
+        """u and -u cancel in the initial reference, which leaves v; u is
+        orthogonal to v, so its least-squares scale against it is 0."""
+        u = np.array([1.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        v = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0, -1.0, 0.0])
+        with pytest.raises(DegeneracyError, match="similarity alignment"):
+            procrustes_align([u, -u, v])
 
 
 class TestBuildShapeModel:
@@ -208,6 +244,32 @@ class TestBuildShapeModel:
             aligned[1][3] = np.nan
         with pytest.raises(DimensionError):
             build_shape_model(aligned, mean)
+
+    def test_negative_count_rejected_zero_accepted(self):
+        rng = np.random.default_rng(10)
+        aligned, _, mean = procrustes_align(random_shapes(rng, 30, v=8))
+        with pytest.raises(DimensionError, match=">= 0"):
+            build_shape_model(aligned, mean, n_components=-1)
+        assert build_shape_model(aligned, mean, n_components=0) \
+            .n_nonrigid == 0
+
+    def test_mean_taken_as_list(self):
+        rng = np.random.default_rng(14)
+        aligned, _, mean = procrustes_align(random_shapes(rng, 30, v=8))
+        np.testing.assert_array_equal(
+            build_shape_model(aligned, list(mean)).basis,
+            build_shape_model(aligned, mean).basis)
+
+    def test_model_owns_read_only_arrays(self):
+        """The model freezes its own copy of the mean: the caller's stays
+        writeable and unshared."""
+        rng = np.random.default_rng(15)
+        aligned, _, mean = procrustes_align(random_shapes(rng, 30, v=8))
+        model = build_shape_model(aligned, mean)
+        assert mean.flags.writeable
+        assert not np.shares_memory(model.mean, mean)
+        for a in (model.mean, model.basis, model.eigenvalues):
+            assert not a.flags.writeable
 
     def test_numpy_integer_count(self):
         rng = np.random.default_rng(10)
@@ -391,6 +453,13 @@ class TestInstanceProject:
         with pytest.raises(DimensionError):
             project_shape(model, np.zeros(model.mean.size + 2))
 
+    def test_takes_lists_and_point_arrays(self, model):
+        p = np.arange(model.n_params) / 10.0
+        s = shape_instance(model, p)
+        np.testing.assert_array_equal(shape_instance(model, list(p)), s)
+        np.testing.assert_array_equal(project_shape(model, s.reshape(-1, 2)),
+                                      project_shape(model, s))
+
     def test_basis_orthonormal(self, model):
         gram = model.basis.T @ model.basis
         np.testing.assert_allclose(gram, np.eye(model.n_params), atol=1e-10)
@@ -417,6 +486,10 @@ class TestFaceSize:
     def test_square(self):
         s = np.array([0.0, 0.0, 4.0, 0.0, 4.0, 2.0, 0.0, 2.0])
         assert face_size(s) == 3.0  # (4 + 2) / 2
+
+    def test_offset_square(self):
+        s = np.array([1.0, 1.0, 5.0, 1.0, 5.0, 3.0, 1.0, 3.0])
+        assert face_size(s) == 3.0  # extents, not the box's corners
 
     def test_degenerate(self):
         with pytest.raises(DegeneracyError):

@@ -7,8 +7,8 @@ import pytest
 from aam_cgd.errors import DegeneracyError, DimensionError
 from aam_cgd.shape_model import (build_shape_model, project_shape,
                                  shape_instance, shape_to_points)
-from aam_cgd.warp import (BARYCENTRIC_TOL, WarpEngine, bilinear_sample,
-                          build_reference_frame, compose,
+from aam_cgd.warp import (BARYCENTRIC_TOL, WarpEngine, _bilinear_operator,
+                          bilinear_sample, build_reference_frame, compose,
                           rasterize_barycentric, sample_frame_image,
                           warp_jacobian_identity, warp_to_reference)
 
@@ -28,6 +28,15 @@ class TestBuildReferenceFrame:
         # included because barycentric >= -1e-9 counts as inside.
         count = sum(1 for x in range(11) for y in range(11))
         assert frame.n_pixels == count
+
+    def test_grid_is_the_bounding_box(self):
+        """The grid spans the mean's bounding box, here offset from the
+        origin, to the pixel."""
+        sq = np.array([2.0, 3.0, 6.0, 3.0, 6.0, 7.0, 2.0, 7.0])
+        frame, _ = build_reference_frame(build_shape_model([sq, sq], sq))
+        assert (frame.width, frame.height) == (5, 5)
+        assert frame.mask.all()
+        np.testing.assert_array_equal(frame.origin, [2.0, 3.0])
 
     def test_barycentric_sums_to_one(self, toy_engine):
         interp = toy_engine.tri.interp
@@ -85,6 +94,11 @@ class TestBuildReferenceFrame:
         want = [[index.get((x + dx, y + dy), -1) for dx, dy in steps]
                 for x, y in frame.positions]
         np.testing.assert_array_equal(frame.neighbors, want)
+
+    def test_mean_covering_no_pixel_rejected(self):
+        t = np.array([0.1, 0.1, 0.4, 0.1, 0.2, 0.4])
+        with pytest.raises(DegeneracyError, match="covers no pixels"):
+            build_reference_frame(build_shape_model([t, t], t))
 
     def test_landmark_in_no_triangle_rejected(self):
         # A repeated corner lies in no triangle, so `compose` could not
@@ -172,6 +186,17 @@ class TestRasterizeBarycentric:
         rec = np.einsum("ft,ftd->fd", bary[ok], verts[tris[tri_id[ok]]])
         np.testing.assert_allclose(rec, queries[ok], atol=1e-9)
 
+    def test_takes_lists(self):
+        tri_id, bary = rasterize_barycentric(
+            [[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]], [[0, 1, 2]], [[1.0, 1.0]])
+        assert tri_id.tolist() == [0]
+        np.testing.assert_allclose(bary, [[0.5, 0.25, 0.25]])
+
+    def test_collinear_triangle_rejected(self):
+        with pytest.raises(DegeneracyError, match="degenerate triangle"):
+            rasterize_barycentric([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]],
+                                  [[0, 1, 2]], [[1.0, 1.0]])
+
 
 def _random_mesh_model(seed):
     """Shape model whose mean is 12 random points, so its Delaunay mesh
@@ -231,6 +256,20 @@ class TestBilinearSample:
         np.testing.assert_allclose(bilinear_sample(img, positions),
                                    bilinear_reference(img, positions),
                                    rtol=0.0, atol=1e-15 * scale)
+
+    @pytest.mark.parametrize("h, w", [(1, 7), (9, 1), (1, 1)])
+    def test_operator_indices_in_range(self, rng, h, w):
+        """On a 1-pixel side both corners along it are that pixel, so no
+        column index reaches past H W."""
+        positions = rng.uniform(-2.0, [w + 2.0, h + 2.0], size=(50, 2))
+        _bilinear_operator(positions, h, w).check_format(full_check=True)
+
+    def test_operator_indexes_past_int32(self):
+        """An image of 2^32 pixels takes 64-bit column indices.  The
+        operator reads only the image's size, so none is allocated."""
+        h = w = 2 ** 16
+        op = _bilinear_operator(np.array([[w - 1.0, h - 1.0]]), h, w)
+        assert op.indices.max() == h * w - 1
 
     def test_memory_order_keeps_bits(self, rng):
         """C-ordered, F-ordered and strided positions sample the same
@@ -524,6 +563,12 @@ class TestFrameImageSampling:
         grids = frame.to_grid(vec)
         got = sample_frame_image(grids, frame, frame.positions)
         np.testing.assert_allclose(got[:, 0], vec, atol=1e-9)
+
+    def test_to_grid_takes_a_list(self, toy_engine):
+        vec = np.arange(toy_engine.n_pixels, dtype=np.float64)
+        frame = toy_engine.frame
+        np.testing.assert_array_equal(frame.to_grid(list(vec)),
+                                      frame.to_grid(vec))
 
     @pytest.mark.parametrize("cut", ["one_channel_2d", "row_short"])
     def test_grids_must_cover_the_frame(self, toy_engine, cut):
