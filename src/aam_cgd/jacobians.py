@@ -9,8 +9,8 @@ masked grid, one-sided where only one neighbour is masked and zero where
 the pixel is isolated.  Its rows are interleaved as the rows of the
 copy-free (2F, P) view dW of the (F, 2, P) warp Jacobian, so:
 
-- the gradient of all k channels is one product with D, a (2, k F)
-  array, and the symmetric Hessian two, a (3, k F) array (xx, xy, yy);
+- the gradient is one product with D per channel, a (2, k F) array,
+  and the Hessian is `image_gradient` twice, a (3, k F) array (xx, xy, yy);
 - the Newton cross block J_{a_j}^T r of every appearance column goes
   through the adjoint image D^T diag(r) dW of `_adjoint_image`, one
   sparse product for all channels, so no per-column gradient is formed;
@@ -44,34 +44,26 @@ from .warp import _channels
 
 def image_gradient(v, frame):
     """Per-channel spatial gradient of a channel-major frame vector: one
-    product with the frame's difference operator.
+    product of each channel with the frame's difference operator.
 
     Returns the (2, F * k) array whose rows are the channel-major x and y
     derivatives.
     """
-    g = _difference(v, frame)                             # (2F, k)
-    return g.reshape(frame.n_pixels, 2, -1).transpose(1, 2, 0).reshape(2, -1)
+    F = frame.n_pixels
+    c = _channels(v, F)
+    g = np.empty((2, c.shape[0], F))
+    for i, row in enumerate(c):
+        g[:, i] = (frame.diff @ row).reshape(F, 2).T     # row 2f + a
+    return g.reshape(2, -1)
 
 
 def second_gradient(v, frame):
-    """Symmetric image Hessian by differencing twice: the (3, F * k) array
-    of rows xx = Dx Dx v, xy = (Dy Dx v + Dx Dy v) / 2 and yy = Dy Dy v,
-    each channel-major.  Two products with the operator."""
-    F = frame.n_pixels
-    g = _difference(v, frame).reshape(F, -1)    # row f: (gx, gy) x channel
-    gg = (frame.diff @ g).reshape(F, 2, 2, -1)  # [f, b, a, c] = D_b D_a v_c
-    h = np.empty((3, gg.shape[3], F))
-    h[0] = gg[:, 0, 0].T
-    np.add(gg[:, 1, 0].T, gg[:, 0, 1].T, out=h[1])
-    h[1] *= 0.5
-    h[2] = gg[:, 1, 1].T
-    return h.reshape(3, -1)
-
-
-def _difference(v, frame):
-    """(2F, k) product of the difference operator with the k channels of
-    a channel-major frame vector: row 2f + a, column c."""
-    return frame.diff @ _channels(v, frame.n_pixels).T
+    """Symmetric image Hessian as the gradient of the gradient: the
+    (3, F * k) array of rows xx = Dx Dx v, xy = (Dy Dx v + Dx Dy v) / 2
+    and yy = Dy Dy v, each channel-major."""
+    g = image_gradient(image_gradient(v, frame), frame)
+    (xx, xy), (yx, yy) = g.reshape(2, 2, -1)    # [a, b] = D_a of row b
+    return np.array([xx, 0.5 * (yx + xy), yy])
 
 
 def steepest_descent(grad_x, grad_y, warp_jac):

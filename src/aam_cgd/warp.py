@@ -95,24 +95,29 @@ def rasterize_barycentric(vertices, triangles, queries):
     Returns (tri_id, bary) where tri_id[i] is the first triangle containing
     queries[i] (-1 if none) and bary[i] its clipped, renormalized
     barycentric coordinates.  Containment allows coordinates
-    >= -BARYCENTRIC_TOL so that points exactly on edges are kept.
+    >= -BARYCENTRIC_TOL so that points exactly on edges are kept.  Every
+    triangle is checked before any query is located, so a degenerate one
+    raises `DegeneracyError` wherever it lies in the list.
     """
-    vertices = np.asarray(vertices, dtype=np.float64)
+    corners = np.asarray(vertices, dtype=np.float64)[
+        np.reshape(triangles, (-1, 3))]                   # (T, 3, 2)
+    a = corners[:, 0]
+    e1, e2 = corners[:, 1] - a, corners[:, 2] - a
+    det = e1[:, 0] * e2[:, 1] - e2[:, 0] * e1[:, 1]
+    bad = np.flatnonzero(np.abs(det) < 1e-14)
+    if bad.size:
+        raise DegeneracyError(f"degenerate triangle {bad[0]} in mesh")
     queries = np.asarray(queries, dtype=np.float64)
     n = queries.shape[0]
     tri_id = np.full(n, -1, dtype=np.int64)
     bary = np.zeros((n, 3))
     todo = np.ones(n, dtype=bool)
-    for t, (i, j, k) in enumerate(triangles):
+    for t in range(det.size):
         if not todo.any():
             break
-        a, b, c = vertices[i], vertices[j], vertices[k]
-        M = np.column_stack([b - a, c - a])
-        det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-        if abs(det) < 1e-14:
-            raise DegeneracyError(f"degenerate triangle {t} in mesh")
-        inv = np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det
-        rel = queries[todo] - a
+        inv = np.array([[e2[t, 1], -e2[t, 0]],
+                        [-e1[t, 1], e1[t, 0]]]) / det[t]
+        rel = queries[todo] - a[t]
         uv = rel @ inv.T
         b1 = 1.0 - uv[:, 0] - uv[:, 1]
         coords = np.column_stack([b1, uv[:, 0], uv[:, 1]])

@@ -59,9 +59,9 @@ class Bench:
         return ref, config, init_error
 
     def config(self, cost, alpha, solver="gauss_newton"):
-        """A `FitConfig` by cost name: "ssd", "po" (rho = 0) or "bpo"
-        (rho = 0.5)."""
-        rho = {"ssd": None, "po": 0.0, "bpo": 0.5}[cost]
+        """A `FitConfig` by cost name: "ssd", "po" (rho = 0), "bpo"
+        (rho = 0.5) or "bpo1" (rho = 1)."""
+        rho = {"ssd": None, "po": 0.0, "bpo": 0.5, "bpo1": 1.0}[cost]
         return FitConfig(alpha=alpha, rho=rho, solver=solver)
 
     def error(self, p, case):
@@ -153,7 +153,17 @@ COMBINATIONS = [(cost, alpha, "gauss_newton") for cost in ("ssd", "po", "bpo")
                                         for alpha in ALPHAS]
 
 
-@pytest.mark.parametrize("cost, alpha, solver", COMBINATIONS)
+BPO_ONE_LEAVES_TRUTH = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="BPO at rho = 1 leaves ground truth (2.23, 0.031 and 0.037 face "
+           "sizes at alpha 0, 0.5 and 1, stop reason max_iters): its "
+           "in-span gradient J^T A diag(1/d) c is not zero there; ROADMAP "
+           "items 2 and 4")
+
+
+@pytest.mark.parametrize("cost, alpha, solver", COMBINATIONS + [
+    pytest.param("bpo1", alpha, "gauss_newton", marks=BPO_ONE_LEAVES_TRUTH)
+    for alpha in ALPHAS])
 def test_ground_truth_is_fixed_point(bench, cost, alpha, solver):
     case = bench.cases[0]
     res = bench.fit(bench.config(cost, alpha, solver), case.image,

@@ -74,14 +74,14 @@ class TestImageGradient:
     @pytest.mark.parametrize("which", ["diamond", "toy"])
     def test_second_gradient_order(self, toy_engine, rng, which):
         """The rows are xx = Dx Dx v, xy = (Dy Dx v + Dx Dy v) / 2 and
-        yy = Dy Dy v.  Near the mask's edge one-sided differences do not
-        commute, so Dy Dx v and Dx Dy v differ and a dropped or unhalved
-        side shows."""
+        yy = Dy Dy v, each the neighbour-table oracle applied twice.  Near
+        the mask's edge one-sided differences do not commute, so Dy Dx v
+        and Dx Dy v differ and a dropped or unhalved side shows."""
         frame = diamond_frame() if which == "diamond" else toy_engine.frame
         v = rng.standard_normal(3 * frame.n_pixels)
-        gx, gy = image_gradient(v, frame)
-        (dxx, dyx), (dxy, dyy) = (image_gradient(gx, frame),
-                                  image_gradient(gy, frame))
+        gx, gy = neighbour_gradient(v, frame)
+        (dxx, dyx), (dxy, dyy) = (neighbour_gradient(gx, frame),
+                                  neighbour_gradient(gy, frame))
         h = second_gradient(v, frame)
         assert h.shape == (3, v.size)
         np.testing.assert_array_equal(h, [dxx, 0.5 * (dyx + dxy), dyy])

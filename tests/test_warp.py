@@ -197,6 +197,15 @@ class TestRasterizeBarycentric:
             rasterize_barycentric([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]],
                                   [[0, 1, 2]], [[1.0, 1.0]])
 
+    @pytest.mark.parametrize("triangles, bad", [
+        ([[0, 1, 2], [0, 3, 4]], 1), ([[0, 3, 4], [0, 1, 2]], 0)])
+    def test_degenerate_triangle_rejected_in_any_order(self, triangles, bad):
+        # The query lies in the good triangle: the collinear one raises
+        # even when every query is located before it is reached.
+        verts = [[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [1.0, 1.0], [2.0, 2.0]]
+        with pytest.raises(DegeneracyError, match=f"triangle {bad} "):
+            rasterize_barycentric(verts, triangles, [[1.0, 1.0]])
+
 
 def _random_mesh_model(seed):
     """Shape model whose mean is 12 random points, so its Delaunay mesh
