@@ -15,7 +15,8 @@ import numpy as np
 from scipy.linalg.blas import daxpy
 
 from .errors import ConfigError, DimensionError, InsufficientDataError
-from .shape_model import _check_linear_model, _freeze, as_array, as_vector, pca
+from .shape_model import (_check_linear_model, _freeze, as_array, as_vector,
+                          pca, require_finite)
 
 SIGMA_FLOOR_REL = 1e-8
 SIGMA_FLOOR_ABS = 1e-12
@@ -72,7 +73,7 @@ def build_appearance_model(warped_images, n_components=None):
         raise InsufficientDataError("need at least 2 warped images")
     # reshape, not ravel: a strided 1-D input stays a view, so the stack
     # below is the only copy of the training data.
-    vecs = [np.asarray(v, dtype=np.float64).reshape(-1)
+    vecs = [as_array(v, None, "warped vector").reshape(-1)
             for v in warped_images]
     if vecs[0].size == 0 or any(v.size != vecs[0].size for v in vecs):
         raise DimensionError("warped vectors are empty or have inconsistent "
@@ -80,8 +81,7 @@ def build_appearance_model(warped_images, n_components=None):
     X = np.stack(vecs)
     data_mean = X.mean(axis=0)
     # A non-finite pixel makes its column mean non-finite.
-    if not np.all(np.isfinite(data_mean)):
-        raise DimensionError("warped vectors contain non-finite values")
+    require_finite("warped vectors", data_mean)
     X -= data_mean
 
     basis, evals = pca(X, float(data_mean @ data_mean), n_components,
@@ -122,10 +122,9 @@ def project_out(cost, r):
     result.  A non-finite entry of r raises `DimensionError`.
     """
     A, w, v = cost_weights(cost)
-    r = as_array(r, (A.shape[0],) + np.shape(r)[1:2],  # (k F,) or (k F, n)
-                 "residual")
-    if not np.isfinite(r).all():
-        raise DimensionError("non-finite residual")
+    r = as_array(r, None, "residual")
+    as_array(r, (A.shape[0],) + r.shape[1:2], "residual")  # (k F[, n])
+    require_finite("residual", r)
     a = A.T @ r
     np.multiply(a.T, v, out=a.T)
     out = A @ a

@@ -27,8 +27,9 @@ Both compositions' Newton blocks have one shape, `NewtonTerms`; the
 bidirectional blocks are the asymmetric ones at alpha = 1 (image side)
 and alpha = 0 (model side) plus the cross term -J_i^T J_a.
 
-Every array shape is checked by the one rule `shape_model.as_array`, so
-nothing is broadcast; non-finite input raises from `_require_finite`.
+Every input array is converted and its shape checked by the one rule
+`shape_model.as_array`, so nothing is broadcast; non-finite input raises
+from the one check `shape_model.require_finite`, run on the small blocks.
 """
 
 from dataclasses import dataclass
@@ -37,8 +38,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .appearance import cost_weights
-from .errors import DimensionError
-from .shape_model import as_array
+from .shape_model import as_array, require_finite
 from .warp import _channels
 
 
@@ -73,16 +73,17 @@ def steepest_descent(grad_x, grad_y, warp_jac):
     Returns (F * k, P): per channel c and pixel f the row
     [gx, gy]_{c,f} @ warp_jac[f], one batched (1, 2) @ (2, P) product.
     """
-    F, P = _warp_dims(warp_jac)
-    gx = _channels(grad_x, F)
-    gy = _channels(as_array(grad_y, np.shape(grad_x), "y gradient"), F)
-    g = np.stack([gx, gy], axis=-1)[:, :, None, :]       # (k, F, 1, 2)
-    return np.matmul(g, warp_jac).reshape(-1, P)
+    warp_jac, F, P = _warp_jacobian(warp_jac)
+    gx = as_array(grad_x, None, "x gradient")
+    gy = as_array(grad_y, gx.shape, "y gradient")
+    g = np.stack([_channels(gx, F), _channels(gy, F)], axis=-1)  # (k, F, 2)
+    return np.matmul(g[:, :, None], warp_jac).reshape(-1, P)
 
 
-def _warp_dims(warp_jac):
-    """(F, P) of an (F, 2, P) warp Jacobian."""
-    return as_array(warp_jac, (None, 2, None), "warp Jacobian").shape[::2]
+def _warp_jacobian(warp_jac):
+    """An (F, 2, P) warp Jacobian as an array, with its F and P."""
+    W = as_array(warp_jac, (None, 2, None), "warp Jacobian")
+    return W, W.shape[0], W.shape[2]
 
 
 def blend_gradients(grad_image, grad_model, alpha):
@@ -112,18 +113,11 @@ def gn_hessian(J, cost=None):
         B = (J.T @ A).T
         H = w * H + B.T @ (np.reshape(v, (-1, 1)) * B)
     H = 0.5 * (H + H.T)
-    _require_finite(H)
+    require_finite("Jacobian", H)
     return H
 
 
-def _require_finite(*blocks):
-    """Any non-finite input entry reaches the small blocks built from it,
-    so checking them spares a pass over the (k F, P) inputs."""
-    if not all(np.isfinite(b).all() for b in blocks):
-        raise DimensionError("non-finite Jacobian, residual or curvature")
-
-
-@np.errstate(invalid="ignore", over="ignore")   # checked by _require_finite
+@np.errstate(invalid="ignore", over="ignore")   # checked by require_finite
 def residual_curvature(second, warp_jac, weighted_residual):
     """Residual-weighted curvature sum_f dW_f^T W_f dW_f, one GEMM.
 
@@ -134,18 +128,18 @@ def residual_curvature(second, warp_jac, weighted_residual):
     of the residual times the Hessian; over the (2F, P) view dW of
     `warp_jac` the sum is dW^T (W dW).
     """
-    F, P = _warp_dims(warp_jac)
+    warp_jac, F, P = _warp_jacobian(warp_jac)
     r = _channels(weighted_residual, F)
     s = as_array(second, (3, r.size), "Hessian rows").reshape(3, -1, F)
     w = np.einsum("cf,scf->fs", r, s)                     # (F, 3)
     W = w[:, [[0, 1], [1, 2]]]
     H = warp_jac.reshape(-1, P).T @ (W @ warp_jac).reshape(-1, P)
     H = 0.5 * (H + H.T)
-    _require_finite(H)
+    require_finite("residual or curvature", H)
     return H
 
 
-@np.errstate(invalid="ignore", over="ignore")   # checked by _require_finite
+@np.errstate(invalid="ignore", over="ignore")   # checked by require_finite
 def basis_gradient_stack(appearance, frame, warp_jac, residual):
     """Rows J_{a_j}^T r for every appearance basis column a_j.
 
@@ -156,22 +150,22 @@ def basis_gradient_stack(appearance, frame, warp_jac, residual):
     It is A^T U with U the adjoint image of `_adjoint_image`, so the m
     columns cost one sparse product and one GEMM.
     """
-    r = _checked_residual(appearance, warp_jac, residual)
+    warp_jac, r = _checked_inputs(appearance, warp_jac, residual)
     U = _adjoint_image(frame, warp_jac, r)
     G = (U.T @ appearance.basis).T          # as B in `gn_hessian`
-    _require_finite(G)
+    require_finite("warp Jacobian or residual", G)
     return G
 
 
-def _checked_residual(appearance, warp_jac, residual, *jacobians):
-    """The residual as a flat float64 array, after checking that it has
-    the appearance model's k F values and every Jacobian is (k F, P), P
-    the warp Jacobian's parameter count."""
+def _checked_inputs(appearance, warp_jac, residual, *jacobians):
+    """The warp Jacobian, the residual flattened and every Jacobian as
+    arrays, after checking that the residual has the appearance model's
+    k F values and every Jacobian is (k F, P), P the warp Jacobian's."""
     n = appearance.n_features
-    shape = (n, _warp_dims(warp_jac)[1])
-    for J in jacobians:
-        as_array(J, shape, "Jacobian")
-    return as_array(np.ravel(residual), (n,), "residual")
+    warp_jac, _, P = _warp_jacobian(warp_jac)
+    r = as_array(residual, None, "residual").ravel()
+    return (warp_jac, as_array(r, (n,), "residual"),
+            *(as_array(J, (n, P), "Jacobian") for J in jacobians))
 
 
 def _adjoint_image(frame, warp_jac, residual):
@@ -184,7 +178,7 @@ def _adjoint_image(frame, warp_jac, residual):
     CSR D^T stacked in one CSR matrix give the channel-major U in one
     product.
     """
-    F, P = _warp_dims(warp_jac)
+    warp_jac, F, P = _warp_jacobian(warp_jac)
     r = _channels(residual, F)
     k = r.shape[0]
     Dt = frame.diff_t                                     # (F, 2F)
@@ -221,7 +215,7 @@ class NewtonTerms:
                          [cross.T, self.xx]])
 
 
-@np.errstate(invalid="ignore", over="ignore")   # checked by _require_finite
+@np.errstate(invalid="ignore", over="ignore")   # checked by require_finite
 def newton_terms_asymmetric(appearance, frame, warp_jac, residual,
                             grad2_image, grad2_model, J_t, alpha):
     """Second-order blocks over (dc, dp) for the alpha-blended
@@ -233,7 +227,7 @@ def newton_terms_asymmetric(appearance, frame, warp_jac, residual,
     +beta J_A^T r (signs fixed by the finite-difference Hessian oracle).
     """
     beta = 1.0 - alpha
-    r = _checked_residual(appearance, warp_jac, residual, J_t)
+    warp_jac, r, J_t = _checked_inputs(appearance, warp_jac, residual, J_t)
     X = _adjoint_image(frame, warp_jac, beta * r)
     X -= J_t
     cp = (X.T @ appearance.basis).T         # as B in `gn_hessian`
@@ -242,7 +236,7 @@ def newton_terms_asymmetric(appearance, frame, warp_jac, residual,
     second = (alpha ** 2 * as_array(grad2_image, rows, "image Hessian rows")
               - beta ** 2 * as_array(grad2_model, rows, "model Hessian rows"))
     pp = J_t.T @ J_t + residual_curvature(second, warp_jac, r)
-    _require_finite(cp, pp)
+    require_finite("Jacobian, residual or curvature", cp, pp)
     return NewtonTerms(cross=cp, xx=pp)
 
 
@@ -255,6 +249,7 @@ def newton_terms_bidirectional(appearance, frame, warp_jac, residual,
     model, by -dq, so its cross block changes sign.  The two sides meet
     in -J_i^T J_a alone: the residual's curvature has no mixed term.
     """
+    J_i, J_a = (as_array(J, None, "Jacobian") for J in (J_i, J_a))
     args = (appearance, frame, warp_jac, residual, grad2_image, grad2_model)
     image = newton_terms_asymmetric(*args, J_i, 1.0)
     model = newton_terms_asymmetric(*args, J_a, 0.0)

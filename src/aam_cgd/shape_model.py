@@ -27,33 +27,47 @@ _GRAM_BLOCK = 4096    # pca: columns per in-place block, 3.3 MB at m = 100
 
 def as_shape(points):
     """Validate and return a shape vector as a float64 array."""
-    s = np.asarray(points, dtype=np.float64).ravel()
+    s = as_array(points, None, "shape vector").ravel()
     if s.size % 2 != 0 or s.size < 6:
         raise DimensionError(
             f"shape vector must have even length >= 6, got {s.size}")
-    if not np.all(np.isfinite(s)):
-        raise DimensionError("shape vector contains non-finite coordinates")
+    require_finite("shape coordinates", s)
     return s
 
 
 def as_vector(x, size, what):
     """Validate and return `size` finite values as a flat float64 array."""
-    x = np.asarray(x, dtype=np.float64).ravel()
+    x = as_array(x, None, what).ravel()
     if x.size != size:
         raise DimensionError(f"expected {size} {what}, got {x.size}")
-    if not np.all(np.isfinite(x)):
-        raise DimensionError(f"non-finite {what}")
+    require_finite(what, x)
     return x
 
 
 def as_array(a, shape, what):
-    """The one array-shape rule: `a` as a float64 array of `shape` (None
-    matches any extent), else `DimensionError` naming `what` and both."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != len(shape) or any(e not in (None, n)
-                                   for e, n in zip(shape, a.shape)):
+    """The one conversion of caller input: `a` as a float64 array of
+    `shape` (None matches any shape, or any extent inside a tuple), else
+    `DimensionError` naming `what`.  Bool and integer input is cast, and
+    float64 input returned uncopied; ragged nesting and any other dtype
+    (strings, complex numbers, objects) raise."""
+    try:
+        a = np.asarray(a)
+    except ValueError:                  # ragged nesting
+        raise DimensionError(f"{what} is not a rectangular array") from None
+    if a.dtype.kind not in "biuf":
+        raise DimensionError(f"{what} must be real numbers, got {a.dtype}")
+    a = a.astype(np.float64, copy=False)
+    if shape is not None and (a.ndim != len(shape) or any(
+            e not in (None, n) for e, n in zip(shape, a.shape))):
         raise DimensionError(f"{what} must be {shape}, got {a.shape}")
     return a
+
+
+def require_finite(what, *arrays):
+    """The one NaN/inf rule: every entry of `arrays` is finite, else
+    `DimensionError` naming `what`."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise DimensionError(f"non-finite {what}")
 
 
 def shape_to_points(s):

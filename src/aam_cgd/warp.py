@@ -38,7 +38,8 @@ from scipy.sparse import csr_matrix
 from scipy.spatial import Delaunay, QhullError
 
 from .errors import DegeneracyError, DimensionError
-from .shape_model import as_array, as_vector, project_shape, shape_to_points
+from .shape_model import (as_array, as_vector, project_shape, require_finite,
+                          shape_to_points)
 
 BARYCENTRIC_TOL = 1e-9
 
@@ -74,7 +75,7 @@ class ReferenceFrame:
 
 def _channels(v, F):
     """(k, F) view of a channel-major frame vector of length k F."""
-    v = np.asarray(v, dtype=np.float64).ravel()
+    v = as_array(v, None, "channel-major vector").ravel()
     if v.size % F != 0:
         raise DimensionError("vector length is not a multiple of F")
     return v.reshape(-1, F)
@@ -90,7 +91,7 @@ class Triangulation:
 
 
 def rasterize_barycentric(vertices, triangles, queries):
-    """Locate query points in a triangle mesh.
+    """Locate (n, 2) query points in a mesh of (v, 2) vertices.
 
     Returns (tri_id, bary) where tri_id[i] is the first triangle containing
     queries[i] (-1 if none) and bary[i] its clipped, renormalized
@@ -99,7 +100,7 @@ def rasterize_barycentric(vertices, triangles, queries):
     triangle is checked before any query is located, so a degenerate one
     raises `DegeneracyError` wherever it lies in the list.
     """
-    corners = np.asarray(vertices, dtype=np.float64)[
+    corners = as_array(vertices, (None, 2), "mesh vertices")[
         np.reshape(triangles, (-1, 3))]                   # (T, 3, 2)
     a = corners[:, 0]
     e1, e2 = corners[:, 1] - a, corners[:, 2] - a
@@ -107,25 +108,17 @@ def rasterize_barycentric(vertices, triangles, queries):
     bad = np.flatnonzero(np.abs(det) < 1e-14)
     if bad.size:
         raise DegeneracyError(f"degenerate triangle {bad[0]} in mesh")
-    queries = np.asarray(queries, dtype=np.float64)
-    n = queries.shape[0]
-    tri_id = np.full(n, -1, dtype=np.int64)
-    bary = np.zeros((n, 3))
-    todo = np.ones(n, dtype=bool)
+    queries = as_array(queries, (None, 2), "query points")
+    tri_id = np.full(len(queries), -1, dtype=np.int64)
+    bary = np.zeros((len(queries), 3))
     for t in range(det.size):
-        if not todo.any():
-            break
         inv = np.array([[e2[t, 1], -e2[t, 0]],
                         [-e1[t, 1], e1[t, 0]]]) / det[t]
-        rel = queries[todo] - a[t]
-        uv = rel @ inv.T
-        b1 = 1.0 - uv[:, 0] - uv[:, 1]
-        coords = np.column_stack([b1, uv[:, 0], uv[:, 1]])
-        inside = np.all(coords >= -BARYCENTRIC_TOL, axis=1)
-        hit_idx = np.flatnonzero(todo)[inside]
-        tri_id[hit_idx] = t
-        bary[hit_idx] = np.clip(coords[inside], 0.0, None)
-        todo[hit_idx] = False
+        uv = (queries - a[t]) @ inv.T
+        coords = np.column_stack([1.0 - uv[:, 0] - uv[:, 1], uv])
+        hit = np.all(coords >= -BARYCENTRIC_TOL, axis=1) & (tri_id < 0)
+        tri_id[hit] = t
+        bary[hit] = np.clip(coords[hit], 0.0, None)
     norm = bary.sum(axis=1)
     good = norm > 0
     bary[good] /= norm[good, None]
@@ -242,16 +235,15 @@ def bilinear_sample(image, positions):
     or with an empty axis, and non-finite positions, raise
     `DimensionError`.
     """
-    img = np.asarray(image, dtype=np.float64)
+    img = as_array(image, None, "image")
+    if img.ndim not in (2, 3) or 0 in img.shape:
+        raise DimensionError("image must be a non-empty (H, W) or (H, W, k) "
+                             f"array, got shape {img.shape}")
     if img.ndim == 2:
         img = img[:, :, None]
-    if img.ndim != 3 or 0 in img.shape:
-        raise DimensionError("image must be a non-empty (H, W) or (H, W, k) "
-                             f"array, got shape {np.shape(image)}")
     h, w, k = img.shape
     positions = as_array(positions, (None, 2), "sample positions")
-    if not np.all(np.isfinite(positions)):
-        raise DimensionError("non-finite sample position")
+    require_finite("sample positions", positions)
     return _bilinear_operator(positions, h, w) @ img.reshape(-1, k)
 
 
@@ -307,8 +299,7 @@ def warp_to_reference(image, shape, frame, tri):
     x, y = shape_to_points(shape).T
     positions = np.array([tri.interp @ x, tri.interp @ y]).T  # see module doc
     vec = bilinear_sample(image, positions).T.ravel()
-    if not np.all(np.isfinite(vec)):
-        raise DimensionError("non-finite pixel under the warped face")
+    require_finite("pixel under the warped face", vec)
     return vec
 
 
@@ -318,8 +309,8 @@ def sample_frame_image(grids, frame, positions):
     grids: (k, H, W) as returned by frame.to_grid.  Returns (N, k).
     """
     grids = as_array(grids, (None, frame.height, frame.width), "frame grids")
-    array_pos = positions - frame.origin[None, :]
-    return bilinear_sample(np.moveaxis(grids, 0, -1), array_pos)
+    positions = as_array(positions, (None, 2), "sample positions")
+    return bilinear_sample(np.moveaxis(grids, 0, -1), positions - frame.origin)
 
 
 def warp_jacobian_identity(model, tri):
@@ -372,4 +363,5 @@ class WarpEngine:
     def increment_positions(self, dp):
         """Positions W(x; dp) of the masked pixels under an incremental
         warp, in mean coordinates."""
+        dp = as_array(dp, (self.dWdp.shape[2],), "shape increment")
         return self.frame.positions + self.dWdp @ dp

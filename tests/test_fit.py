@@ -18,11 +18,14 @@ import numpy as np
 import pytest
 
 from aam_cgd import jacobians, warp
-from aam_cgd.appearance import build_appearance_model, project_out
+from aam_cgd.appearance import (appearance_instance, build_appearance_model,
+                                project_appearance, project_out)
 from aam_cgd.errors import ConfigError, DimensionError, RankDeficiencyError
 from aam_cgd.fit import FitConfig, fit, prepare, schur_solve
 from aam_cgd.jacobians import gn_hessian, image_gradient, steepest_descent
-from aam_cgd.shape_model import shape_instance, shape_to_points
+from aam_cgd.shape_model import (build_shape_model, face_size,
+                                 procrustes_align, project_shape,
+                                 shape_instance, shape_to_points)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 N_PIXELS = 6700
@@ -257,6 +260,80 @@ def test_wrong_channel_count_raises(bench, alpha, rho):
     for image in (case.image[..., 0], case.image[..., :2]):
         with pytest.raises(DimensionError):
             fit(prep, image, p0)
+
+
+MALFORMED = {      # a valid argument -> a malformed one of its kind
+    "numeric_strings": lambda a: np.asarray(a).astype(str),
+    "ragged": lambda a: [[0.0, 1.0], [2.0]],
+    "complex": lambda a: np.asarray(a, dtype=complex),
+}
+
+
+@pytest.mark.parametrize("kind", list(MALFORMED))
+@pytest.mark.parametrize("call", [
+    "shape_instance", "project_shape", "procrustes_align", "face_size",
+    "build_shape_model", "appearance_instance", "project_appearance",
+    "build_appearance_model", "project_out", "warp_to_reference_image",
+    "warp_to_reference_shape", "compose", "image_gradient",
+    "steepest_descent", "blend_gradients", "gn_hessian",
+    "residual_curvature", "newton_terms_asymmetric_residual",
+    "newton_terms_bidirectional_J_i", "increment_positions",
+    "rasterize_barycentric", "sample_frame_image", "fit_image", "fit_p"])
+def test_malformed_input_raises(bench, call, kind):
+    """Strings (even numeric ones, which numpy would parse), ragged
+    nesting and complex values (even with a zero imaginary part) in one
+    argument of a valid call raise `DimensionError` from the one
+    conversion rule, not numpy's `ValueError` or a `ComplexWarning`."""
+    eng, app, case = bench.engine, bench.app, bench.cases[0]
+    model, frame, tri, dW = eng.model, eng.frame, eng.tri, eng.dWdp
+    p, s, v, image = case.p_true, case.shape_true, app.mean, case.image
+    J = steepest_descent(*image_gradient(v, frame), dW)
+    second = jacobians.second_gradient(v, frame)
+    prep = prepare(eng, app, bench.config("po", 0.5))
+    calls = {        # name -> (valid argument, call on that argument)
+        "shape_instance": (p, lambda x: shape_instance(model, x)),
+        "project_shape": (s, lambda x: project_shape(model, x)),
+        "procrustes_align": (s, lambda x: procrustes_align([x, s])),
+        "face_size": (s, face_size),
+        "build_shape_model": (s, lambda x: build_shape_model([x, s], s)),
+        "appearance_instance": (np.zeros(app.n_components),
+                                lambda x: appearance_instance(app, x)),
+        "project_appearance": (v, lambda x: project_appearance(app, x)),
+        "build_appearance_model": (
+            v, lambda x: build_appearance_model([x, v])),
+        "project_out": (v, lambda x: project_out(app, x)),
+        "warp_to_reference_image": (
+            image, lambda x: warp.warp_to_reference(x, s, frame, tri)),
+        "warp_to_reference_shape": (
+            s, lambda x: warp.warp_to_reference(image, x, frame, tri)),
+        "compose": (p, lambda x: warp.compose(model, tri, p, x)),
+        "image_gradient": (v, lambda x: image_gradient(x, frame)),
+        "steepest_descent": (v, lambda x: steepest_descent(x, v, dW)),
+        "blend_gradients": (second[:2], lambda x: jacobians.blend_gradients(
+            x, second[:2], 0.5)),
+        "gn_hessian": (J[:64], gn_hessian),
+        "residual_curvature": (second, lambda x: jacobians.residual_curvature(
+            x, dW, v)),
+        "newton_terms_asymmetric_residual": (
+            v, lambda x: jacobians.newton_terms_asymmetric(
+                app, frame, dW, x, second, second, J, 0.5)),
+        "newton_terms_bidirectional_J_i": (
+            J, lambda x: jacobians.newton_terms_bidirectional(
+                app, frame, dW, v, second, second, x, J)),
+        "increment_positions": (p, eng.increment_positions),
+        "rasterize_barycentric": (
+            frame.positions[:8], lambda x: warp.rasterize_barycentric(
+                shape_to_points(model.mean), tri.triangles, x)),
+        "sample_frame_image": (
+            frame.positions[:8], lambda x: warp.sample_frame_image(
+                frame.to_grid(v), frame, x)),
+        "fit_image": (image, lambda x: fit(prep, x, p)),
+        "fit_p": (p, lambda x: fit(prep, image, x)),
+    }
+    valid, f = calls[call]
+    f(valid)
+    with pytest.raises(DimensionError, match="rectangular|real numbers"):
+        f(MALFORMED[kind](valid))
 
 
 @pytest.mark.parametrize("fields", [

@@ -239,6 +239,23 @@ def test_residual_of_any_shape_accepted(toy_engine, rng):
     np.testing.assert_array_equal(rows.xx, flat.xx)
 
 
+def test_newton_terms_take_lists(toy_engine, rng):
+    """Nested lists for every array argument give the bits of the arrays:
+    each is converted once, and the converted array is the one used."""
+    frame, dW = toy_engine.frame, toy_engine.dWdp
+    F, P = frame.n_pixels, dW.shape[2]
+    app = _orthonormal_appearance(rng, 3 * F, 2)
+    r = rng.standard_normal(3 * F)
+    s = second_gradient(rng.standard_normal(3 * F), frame)
+    J_i, J_a = rng.standard_normal((2, 3 * F, P))
+    args = (r, s, s, J_i, J_a)
+    want = newton_terms_bidirectional(app, frame, dW, *args)
+    got = newton_terms_bidirectional(app, frame, dW.tolist(),
+                                     *(a.tolist() for a in args))
+    np.testing.assert_array_equal(got.cross, want.cross)
+    np.testing.assert_array_equal(got.xx, want.xx)
+
+
 class TestGnHessian:
     def test_orthonormal_columns_give_identity(self, rng):
         J, _ = np.linalg.qr(rng.standard_normal((60, 5)))

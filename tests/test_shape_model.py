@@ -498,3 +498,19 @@ class TestFaceSize:
     def test_non_finite_rejected(self):
         with pytest.raises(DimensionError):
             face_size([0.0, 0.0, 1.0, np.nan, 2.0, 2.0])
+
+
+def test_as_array_casts_bool_and_integer_input():
+    """Bool and integer input is cast to float64 and float64 input comes
+    back as it is, not copied; integer shapes align as their float values
+    do (an integer array viewed as complex landmarks would not)."""
+    x = np.arange(4.0)
+    assert shape_model.as_array(x, None, "x") is x
+    for a in ([True, False], np.arange(3, dtype=np.uint8), [1, 2]):
+        got = shape_model.as_array(a, None, "x")
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, np.asarray(a, dtype=float))
+    shapes = np.random.default_rng(3).integers(-9, 10, size=(4, 12))
+    for got, want in zip(procrustes_align(shapes),
+                         procrustes_align(shapes.astype(float))):
+        np.testing.assert_array_equal(got, want)
