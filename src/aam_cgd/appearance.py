@@ -147,7 +147,7 @@ class BpoOperator:
     """
 
     model: AppearanceModel
-    rho: float = 0.5
+    rho: float
 
     def __post_init__(self):
         check_unit_interval(self.rho, "rho")

@@ -122,8 +122,13 @@ def schur_solve(xx, g_p, cross=None, g_c=None):
     (xx - cross^T cross) dp = -(g_p - cross^T g_c), dc = -(g_c + cross dp).
     No `cross` means m = 0.  A singular system raises `RankDeficiencyError`.
     """
+    g_p = shape_model.as_array(g_p, (None,), "gradient on p")
     if cross is None:
         cross, g_c = np.zeros((0, g_p.size)), np.zeros(0)
+    xx = shape_model.as_array(xx, (g_p.size,) * 2, "p block")
+    cross = shape_model.as_array(cross, (None, g_p.size), "cross block")
+    g_c = shape_model.as_array(g_c, (len(cross),), "gradient on c")
+    shape_model.require_finite("Schur block", xx, g_p, cross, g_c)
     try:
         dp = -np.linalg.solve(xx - cross.T @ cross, g_p - cross.T @ g_c)
     except np.linalg.LinAlgError as exc:

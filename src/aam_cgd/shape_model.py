@@ -71,13 +71,13 @@ def require_finite(what, *arrays):
 
 
 def shape_to_points(s):
-    """View a flat shape vector as a (v, 2) coordinate array."""
-    return np.asarray(s, dtype=np.float64).reshape(-1, 2)
+    """A shape vector (`as_shape`) as a (v, 2) coordinate view."""
+    return as_shape(s).reshape(-1, 2)
 
 
 def face_size(s):
     """Mean of the width and height of the shape's bounding box."""
-    pts = shape_to_points(as_shape(s))
+    pts = shape_to_points(s)
     extent = pts.max(axis=0) - pts.min(axis=0)
     size = 0.5 * (extent[0] + extent[1])
     if size <= 0:
@@ -85,10 +85,12 @@ def face_size(s):
     return float(size)
 
 
+@np.errstate(over="ignore")      # checked by require_finite
 def _unit_norm(z):
     """Complex landmark rows (..., v) scaled to unit norm."""
     norm = np.linalg.norm(z, axis=-1, keepdims=True)
-    if not np.all(np.isfinite(norm) & (norm > 0)):
+    require_finite("landmark norm", norm)
+    if not np.all(norm > 0):
         raise DegeneracyError("degenerate shape: all landmarks coincide")
     return z / norm
 
@@ -143,7 +145,7 @@ def similarity_basis(mean):
     Column order: x-translation, y-translation, scale, rotation; the QR
     takes the centroid out of the last two, as the translations precede them.
     """
-    pts = shape_to_points(as_shape(mean))
+    pts = shape_to_points(mean)
     cols = np.zeros((pts.size, 4))
     cols[0::2, 0] = 1.0                      # d/d tx
     cols[1::2, 1] = 1.0                      # d/d ty
@@ -244,7 +246,9 @@ def orthonormalize(C):
     overwritten and returned as Q, so no second (dim, n) array is made;
     any other C is copied first and left unchanged.
     """
+    C = as_array(C, (None, None), "columns")
     gram = C.T @ C
+    require_finite("Gram matrix of the columns", gram)
     try:
         L = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
@@ -254,7 +258,7 @@ def orthonormalize(C):
     if dependent:
         raise DegeneracyError("cannot orthonormalize linearly dependent "
                               "columns")
-    Q = np.require(C, np.float64, ["F_CONTIGUOUS", "WRITEABLE"])
+    Q = np.require(C, requirements=["F_CONTIGUOUS", "WRITEABLE"])
     if Q.shape[1] == 0:               # LAPACK rejects a 0 x 0 factor
         return Q
     L_inv = dtrtri(L, lower=1)[0]     # info is 0: L is non-empty, pivots > 0
@@ -278,13 +282,15 @@ def pca(X, ref_norm2, n_components, what):
     n_keep rows, which become the returned modes), and the caller must
     hold no view of it.  Any other X is copied first and left unchanged.
     """
+    X = as_array(X, (None, None), f"{what} samples")
     n_samples, dim = X.shape
     gram_side = n_samples < dim
     if gram_side:
-        X = np.require(X, np.float64, ["C_CONTIGUOUS", "WRITEABLE",
-                                       "OWNDATA"])
-    evals, evecs = np.linalg.eigh(
-        (X @ X.T if gram_side else X.T @ X) / (n_samples - 1))
+        X = np.require(X, requirements=["C_CONTIGUOUS", "WRITEABLE",
+                                        "OWNDATA"])
+    small = (X @ X.T if gram_side else X.T @ X) / (n_samples - 1)
+    require_finite(f"{what} sample covariance", small)
+    evals, evecs = np.linalg.eigh(small)
     evals, evecs = evals[::-1], evecs[:, ::-1]
     top = evals[0] if evals.size else 0.0
     evals = evals[evals > max(top * 1e-12, ref_norm2 * 1e-26, 1e-300)]

@@ -42,6 +42,7 @@ from .shape_model import (as_array, as_vector, project_shape, require_finite,
                           shape_to_points)
 
 BARYCENTRIC_TOL = 1e-9
+SLIVER_TOL = 1e-10    # a triangle's |det| over its longer edge squared
 
 
 @dataclass(frozen=True)
@@ -97,17 +98,11 @@ def rasterize_barycentric(vertices, triangles, queries):
     queries[i] (-1 if none) and bary[i] its clipped, renormalized
     barycentric coordinates.  Containment allows coordinates
     >= -BARYCENTRIC_TOL so that points exactly on edges are kept.  Every
-    triangle is checked before any query is located, so a degenerate one
-    raises `DegeneracyError` wherever it lies in the list.
+    triangle passes `_triangle_edges` before any query is located, so a
+    degenerate one raises `DegeneracyError` wherever it lies in the list.
     """
-    corners = as_array(vertices, (None, 2), "mesh vertices")[
-        np.reshape(triangles, (-1, 3))]                   # (T, 3, 2)
-    a = corners[:, 0]
-    e1, e2 = corners[:, 1] - a, corners[:, 2] - a
-    det = e1[:, 0] * e2[:, 1] - e2[:, 0] * e1[:, 1]
-    bad = np.flatnonzero(np.abs(det) < 1e-14)
-    if bad.size:
-        raise DegeneracyError(f"degenerate triangle {bad[0]} in mesh")
+    a, e1, e2, det = _triangle_edges(as_array(
+        vertices, (None, 2), "mesh vertices")[np.reshape(triangles, (-1, 3))])
     queries = as_array(queries, (None, 2), "query points")
     tri_id = np.full(len(queries), -1, dtype=np.int64)
     bary = np.zeros((len(queries), 3))
@@ -123,6 +118,20 @@ def rasterize_barycentric(vertices, triangles, queries):
     good = norm > 0
     bary[good] /= norm[good, None]
     return tri_id, bary
+
+
+def _triangle_edges(corners):
+    """(a, e1, e2, det) of (T, 3, 2) corners, e1 and e2 the edges from a.
+    The one scale-free mesh rule: the first triangle with a NaN det or
+    |det| <= SLIVER_TOL max(|e1|^2, |e2|^2) raises `DegeneracyError`."""
+    a = corners[:, 0]
+    e1, e2 = corners[:, 1] - a, corners[:, 2] - a
+    det = e1[:, 0] * e2[:, 1] - e2[:, 0] * e1[:, 1]
+    scale = np.maximum((e1 * e1).sum(axis=1), (e2 * e2).sum(axis=1))
+    bad = np.flatnonzero(~(np.abs(det) > SLIVER_TOL * scale))
+    if bad.size:
+        raise DegeneracyError(f"degenerate triangle {bad[0]} in mesh")
+    return a, e1, e2, det
 
 
 def _difference_operator(neighbors):
@@ -154,16 +163,16 @@ def build_reference_frame(model):
     vertex takes the lowest-numbered triangle, so `find_simplex` runs
     brute force, not its order-dependent walk.  Weights are clipped at 0
     and renormalised.  A landmark that lies in no triangle, such as a
-    repeated point, raises `DegeneracyError`.
+    repeated point, and a sliver (`_triangle_edges`, checked before Qhull's
+    `transform` is read) raise `DegeneracyError`.
     """
     pts = shape_to_points(model.mean)
     try:
         delaunay = Delaunay(pts)
     except QhullError as exc:
         raise DegeneracyError(f"mean shape cannot be triangulated: {exc}")
-    if not np.all(np.isfinite(delaunay.transform)):
-        raise DegeneracyError("degenerate triangle in the mean shape's mesh")
     triangles = np.ascontiguousarray(delaunay.simplices, dtype=np.int64)
+    _triangle_edges(pts[triangles])
     v = pts.shape[0]
     count = np.bincount(triangles.ravel(), minlength=v)
     if np.any(count == 0):

@@ -24,8 +24,9 @@ from aam_cgd.errors import ConfigError, DimensionError, RankDeficiencyError
 from aam_cgd.fit import FitConfig, fit, prepare, schur_solve
 from aam_cgd.jacobians import gn_hessian, image_gradient, steepest_descent
 from aam_cgd.shape_model import (build_shape_model, face_size,
-                                 procrustes_align, project_shape,
-                                 shape_instance, shape_to_points)
+                                 orthonormalize, pca, procrustes_align,
+                                 project_shape, shape_instance,
+                                 shape_to_points)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 N_PIXELS = 6700
@@ -214,6 +215,26 @@ def test_schur_reduced_ssd_step_is_project_out_step(bench):
     assert rel_gap(dp, po) <= 1e-10
 
 
+@pytest.mark.parametrize("defect", ["nan", "complex", "extra_row"])
+@pytest.mark.parametrize("block", ["xx", "g_p", "cross", "g_c"])
+def test_schur_solve_checks_its_blocks(block, defect):
+    """A NaN entry, complex values or one row too many in any block
+    raises `DimensionError`, not a NaN or complex step or numpy's
+    `ValueError`."""
+    cross = 0.1 * np.random.default_rng(5).standard_normal((3, 2))
+    blocks = dict(xx=np.eye(2), g_p=np.ones(2), cross=cross, g_c=np.ones(3))
+    schur_solve(**blocks)
+    a = blocks[block]
+    if defect == "nan":
+        a = np.where(np.arange(a.size).reshape(a.shape) == 0, np.nan, a)
+    elif defect == "complex":
+        a = a.astype(complex)
+    else:
+        a = np.concatenate([a, a[:1]])
+    with pytest.raises(DimensionError):
+        schur_solve(**{**blocks, block: a})
+
+
 def test_forward_ssd_gauss_newton_fits_like_project_out(bench):
     """At alpha = 1 the Jacobian is the image's alone, so SSD Gauss-Newton
     over (dc, dp) and PO take the same steps through the whole loop."""
@@ -278,7 +299,8 @@ MALFORMED = {      # a valid argument -> a malformed one of its kind
     "steepest_descent", "blend_gradients", "gn_hessian",
     "residual_curvature", "newton_terms_asymmetric_residual",
     "newton_terms_bidirectional_J_i", "increment_positions",
-    "rasterize_barycentric", "sample_frame_image", "fit_image", "fit_p"])
+    "rasterize_barycentric", "sample_frame_image", "fit_image", "fit_p",
+    "schur_solve", "orthonormalize", "pca", "shape_to_points"])
 def test_malformed_input_raises(bench, call, kind):
     """Strings (even numeric ones, which numpy would parse), ragged
     nesting and complex values (even with a zero imaginary part) in one
@@ -329,6 +351,10 @@ def test_malformed_input_raises(bench, call, kind):
                 frame.to_grid(v), frame, x)),
         "fit_image": (image, lambda x: fit(prep, x, p)),
         "fit_p": (p, lambda x: fit(prep, image, x)),
+        "schur_solve": (np.eye(p.size), lambda x: schur_solve(x, p)),
+        "orthonormalize": (model.basis, orthonormalize),
+        "pca": (model.basis.T, lambda x: pca(x, 1.0, None, "shape")),
+        "shape_to_points": (s, shape_to_points),
     }
     valid, f = calls[call]
     f(valid)

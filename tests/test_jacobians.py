@@ -375,7 +375,7 @@ def test_wrong_rank_rejected(toy_engine, rng, call):
             toy_engine.frame, dW.reshape(2 * F, P), g),
         "project_out_scalar": lambda: project_out(app, 1.0),
         "project_out_3d": lambda: project_out(app, g.reshape(3 * F, 1, 1)),
-        "bpo_apply_3d": lambda: project_out(BpoOperator(app),
+        "bpo_apply_3d": lambda: project_out(BpoOperator(app, 0.5),
                                             g.reshape(3 * F, 1, 1)),
     }
     with pytest.raises(DimensionError):

@@ -159,6 +159,13 @@ class TestProcrustes:
         with pytest.raises(DimensionError, match="non-finite"):
             procrustes_align([s, np.append(s[:-1], np.nan)])
 
+    def test_overflowing_norm_rejected(self):
+        """A unit square scaled by 1e200 is finite, but its norm is not:
+        the finiteness rule names it, with no overflow warning."""
+        square = 1e200 * np.array([0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+        with pytest.raises(DimensionError, match="non-finite landmark norm"):
+            procrustes_align([square, square])
+
     def test_shape_orthogonal_to_reference_rejected(self):
         """u and -u cancel in the initial reference, which leaves v; u is
         orthogonal to v, so its least-squares scale against it is 0."""
@@ -351,6 +358,12 @@ class TestBasisOrientation:
         assert not np.shares_memory(q, C) and q.flags.f_contiguous
         assert_oriented_and_nested(q, raw)
 
+    def test_orthonormalize_nan_column_rejected(self, rng):
+        C = rng.standard_normal((10, 3))
+        C[4, 1] = np.nan
+        with pytest.raises(DimensionError, match="non-finite"):
+            orthonormalize(C)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_orthonormalize_round_off_pivot(self, seed):
         """The second column is exactly dependent on the first.  Cholesky
@@ -381,6 +394,14 @@ class TestBasisOrientation:
         assert modes.shape[1] == model.n_nonrigid > 0
         assert_oriented_and_nested(
             model.basis, np.hstack([raw_similarity(mean), modes]))
+
+
+@pytest.mark.parametrize("n_samples", [8, 40])   # Gram, covariance side
+def test_pca_nan_sample_rejected(rng, n_samples):
+    X = rng.standard_normal((n_samples, 30))
+    X[3, 7] = np.nan
+    with pytest.raises(DimensionError, match="non-finite shape"):
+        pca(X, 1.0, None, "shape")
 
 
 @pytest.mark.parametrize("layout", ["view", "fortran", "float32",
@@ -514,3 +535,13 @@ def test_as_array_casts_bool_and_integer_input():
     for got, want in zip(procrustes_align(shapes),
                          procrustes_align(shapes.astype(float))):
         np.testing.assert_array_equal(got, want)
+
+
+def test_shape_to_points_takes_the_shape_rule():
+    """`shape_to_points` views `as_shape`'s vector as points: a float64
+    shape is not copied, and an odd length raises `DimensionError`."""
+    s = np.arange(6.0)
+    pts = shape_model.shape_to_points(s)
+    assert pts.shape == (3, 2) and np.shares_memory(pts, s)
+    with pytest.raises(DimensionError, match="even length"):
+        shape_model.shape_to_points(np.arange(7.0))

@@ -95,6 +95,18 @@ class TestBuildReferenceFrame:
                 for x, y in frame.positions]
         np.testing.assert_array_equal(frame.neighbors, want)
 
+    @pytest.mark.parametrize("L", [10.0, 1000.0])
+    def test_sliver_rule_is_scale_free(self, L):
+        """The frame takes the rasterizer's rule on the sliver family:
+        a triangle of height ratio 1e-9 is kept at every scale, with a
+        finite transform, and one of 1e-11 is rejected, where Qhull's
+        own cut lies near 3e-13."""
+        _, tri = build_reference_frame(SimpleNamespace(mean=_sliver(L, 1e-9)))
+        assert np.isfinite(tri.interp.data).all()
+        assert np.isfinite(tri.landmark_grad.data).all()
+        with pytest.raises(DegeneracyError, match="degenerate triangle"):
+            build_reference_frame(SimpleNamespace(mean=_sliver(L, 1e-11)))
+
     def test_mean_covering_no_pixel_rejected(self):
         t = np.array([0.1, 0.1, 0.4, 0.1, 0.2, 0.4])
         with pytest.raises(DegeneracyError, match="covers no pixels"):
@@ -107,6 +119,15 @@ class TestBuildReferenceFrame:
         repeated = SimpleNamespace(mean=np.array(square + [10.0, 10.0]))
         with pytest.raises(DegeneracyError, match="no triangle"):
             build_reference_frame(repeated)
+
+
+def _sliver(L, r):
+    """(0, 0), (L, 0), (L/2, r L), (L/2, L/2): the first three make a
+    sliver of height ratio r, the last a well-shaped cap over it."""
+    return L * np.array([0.0, 0.0, 1.0, 0.0, 0.5, r, 0.5, 0.5])
+
+
+SLIVER_MESH = [[0, 1, 2], [0, 2, 3], [1, 3, 2]]
 
 
 def _frame_queries(frame):
@@ -196,6 +217,31 @@ class TestRasterizeBarycentric:
         with pytest.raises(DegeneracyError, match="degenerate triangle"):
             rasterize_barycentric([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]],
                                   [[0, 1, 2]], [[1.0, 1.0]])
+
+    def test_tiny_right_triangle_accepted(self):
+        """The rule is scale-free: legs of 1e-8 make a well-shaped
+        triangle, though its determinant is only 1e-16."""
+        tri_id, bary = rasterize_barycentric(
+            1e-8 * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+            [[0, 1, 2]], [[0.5e-8, 0.25e-8]])
+        assert tri_id.tolist() == [0]
+        np.testing.assert_allclose(bary, [[0.25, 0.5, 0.25]])
+
+    def test_frame_sliver_rejected(self):
+        """The sliver `test_sliver_triangle_rejected` gives the frame,
+        whose determinant of 1e-11 is not small in absolute terms."""
+        with pytest.raises(DegeneracyError, match="degenerate triangle 0 "):
+            rasterize_barycentric([[0.0, 0.0], [10.0, 0.0], [5.0, 1e-12]],
+                                  [[0, 1, 2]], [[5.0, 0.0]])
+
+    @pytest.mark.parametrize("L", [1e-6, 1.0, 1000.0])
+    def test_sliver_rule_is_scale_free(self, L):
+        verts = _sliver(L, 1e-9).reshape(-1, 2)
+        tri_id, _ = rasterize_barycentric(verts, SLIVER_MESH, [[L / 2, L / 4]])
+        assert tri_id.tolist() == [1]
+        with pytest.raises(DegeneracyError, match="degenerate triangle 0 "):
+            rasterize_barycentric(_sliver(L, 1e-11).reshape(-1, 2),
+                                  SLIVER_MESH, [[L / 2, L / 4]])
 
     @pytest.mark.parametrize("triangles, bad", [
         ([[0, 1, 2], [0, 3, 4]], 1), ([[0, 3, 4], [0, 1, 2]], 0)])

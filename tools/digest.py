@@ -1,5 +1,6 @@
-"""Print SHA-256 digests of the benchmark driver's fits and of the two
-image derivatives, to show that a change keeps every bit of them.
+"""Print SHA-256 digests of the benchmark driver's fits, of the library
+loop's fits and of the two image derivatives, to show that a change
+keeps every bit of them.
 
     python3 tools/digest.py
 
@@ -7,7 +8,11 @@ For each workload of `perfbench/bench.py` the model is built as
 `Bench.setup` builds it (engine, m = 100 appearance model and
 `driver.Fitter`), FIT_CASES seeded cases are rendered and perturbed as
 `Bench.run` does, and the final p and iteration count of each fit are
-hashed.  For each of the two frames (6.7k and 19k pixels),
+hashed.  The same starts are then fitted by `fit.fit` under the
+workload's `FitConfig` (as `tests/test_fit.py` maps it), and on the
+6.7k frame also under the OTHER_CONFIGS no workload runs; these lines
+hash the final p, c, iteration count and stop reason.  For each of the
+two frames (6.7k and 19k pixels),
 `image_gradient` and `second_gradient` of the appearance mean and of one
 warped case image are hashed too.  The package and the benchmark come
 from this checkout, and BLAS runs on one thread, as in the benchmark,
@@ -25,6 +30,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FIT_SEED = 29
 FIT_CASES = 3
+OTHER_WORKLOAD = "newton_sd"     # its 6.7k model also fits OTHER_CONFIGS
+OTHER_CONFIGS = [dict(alpha=0.0, rho=0.5), dict(alpha=0.5, rho=0.5),  # BPO
+                 dict(alpha=0.5)]                       # SSD Gauss-Newton
 
 
 def _update(digest, a):
@@ -32,12 +40,25 @@ def _update(digest, a):
     digest.update(a.tobytes())
 
 
+def _library_fits(fit, engine, app, configs, starts):
+    """One digest of `fit.fit` under each config from each start."""
+    digest = hashlib.sha256()
+    for config in configs:
+        prep = fit.prepare(engine, app, config)
+        for case, p0 in starts:
+            res = fit.fit(prep, case.image, p0)
+            _update(digest, res.p)
+            _update(digest, res.c)
+            digest.update(repr((res.iters, res.reason)).encode())
+    return digest.hexdigest()
+
+
 def main():
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"         # before numpy loads
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    np, bench, synth, jacobians, warp = map(
-        importlib.import_module, ["numpy", "bench", "synth",
+    np, bench, synth, fit, jacobians, warp = map(
+        importlib.import_module, ["numpy", "bench", "synth", "aam_cgd.fit",
                                   "aam_cgd.jacobians", "aam_cgd.warp"])
     frames = set()
     for name, (n_pixels, _, init_error, _) in bench.WORKLOADS.items():
@@ -61,15 +82,29 @@ def main():
                     _update(digest, np.ascontiguousarray(f(v, engine.frame)))
             print(f"F = {engine.n_pixels}: {digest.hexdigest()}")
         rng = np.random.default_rng(FIT_SEED)
-        digest = hashlib.sha256()
+        starts = []
         for j in range(FIT_CASES):
             case = synth.make_case(rng, engine, source, size)
-            p0 = synth.perturb(np.random.default_rng([FIT_SEED, j]),
-                               engine.model, case, init_error)
+            starts.append((case, synth.perturb(
+                np.random.default_rng([FIT_SEED, j]), engine.model, case,
+                init_error)))
+        digest = hashlib.sha256()
+        for case, p0 in starts:
             res = fitter.fit(case.image, p0)
             _update(digest, res.p)
             digest.update(repr(res.iters).encode())
         print(f"{name} fits: {digest.hexdigest()}")
+        ref = fitter.config
+        config = fit.FitConfig(
+            alpha=ref.alpha, rho=0.0 if ref.project_out else None,
+            solver="gauss_newton" if ref.project_out else "newton",
+            max_iters=ref.max_iters)
+        print(f"{name} fit.fit: "
+              f"{_library_fits(fit, engine, app, [config], starts)}")
+        if name == OTHER_WORKLOAD:
+            configs = [fit.FitConfig(**c) for c in OTHER_CONFIGS]
+            print(f"F = {engine.n_pixels} other fit.fit configs: "
+                  f"{_library_fits(fit, engine, app, configs, starts)}")
 
 
 if __name__ == "__main__":
