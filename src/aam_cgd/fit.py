@@ -19,7 +19,7 @@ from numbers import Integral
 import numpy as np
 
 from . import appearance, jacobians, shape_model, warp
-from .errors import ConfigError, RankDeficiencyError
+from .errors import ConfigError, DimensionError, RankDeficiencyError
 
 STEP_TOL_PX = 0.01    # stop when the RMS landmark step falls below this
 
@@ -120,8 +120,13 @@ def schur_solve(xx, g_p, cross=None, g_c=None):
     """The step (dc, dp) of the Hessian [[I, cross], [cross^T, xx]] (as
     A^T A = I) with gradient (g_c, g_p), forming no (m + P) matrix:
     (xx - cross^T cross) dp = -(g_p - cross^T g_c), dc = -(g_c + cross dp).
-    No `cross` means m = 0.  A singular system raises `RankDeficiencyError`.
+    Neither `cross` nor `g_c` means m = 0, and one without the other
+    raises `DimensionError`.  A singular system raises
+    `RankDeficiencyError`.
     """
+    if (cross is None) != (g_c is None):
+        raise DimensionError("cross block and gradient on c come as a "
+                             "pair: got one without the other")
     g_p = shape_model.as_array(g_p, (None,), "gradient on p")
     if cross is None:
         cross, g_c = np.zeros((0, g_p.size)), np.zeros(0)

@@ -17,6 +17,11 @@ copy-free (2F, P) view dW of the (F, 2, P) warp Jacobian, so:
 - the residual-weighted curvature is one GEMM dW^T (W dW), with W the
   per-pixel 2 x 2 second-derivative weights (`residual_curvature`).
 
+The steepest-descent images are one (k, 2) @ (2, P) product per pixel,
+all channels' gradients at that pixel against its warp Jacobian, written
+through the (F, k, P) view straight into the C-contiguous, channel-major
+(k F, P) result (`steepest_descent`).
+
 Project-out (PO) and Bayesian project-out (BPO) Hessians read their
 weight W = w I + A diag(v) A^T from the one table
 `appearance.cost_weights` and are factored through the m x P product
@@ -70,14 +75,18 @@ def steepest_descent(grad_x, grad_y, warp_jac):
     """Contract an image gradient with the warp Jacobian.
 
     grad_x/grad_y: (F * k,) channel-major, one shape; warp_jac: (F, 2, P).
-    Returns (F * k, P): per channel c and pixel f the row
-    [gx, gy]_{c,f} @ warp_jac[f], one batched (1, 2) @ (2, P) product.
+    Returns the C-contiguous (F * k, P) array whose row (c, f) is
+    [gx, gy]_{c,f} @ warp_jac[f]: per pixel f one (k, 2) @ (2, P)
+    product over all channels, written through the (F, k, P) view
+    straight into the channel-major result.
     """
     warp_jac, F, P = _warp_jacobian(warp_jac)
     gx = as_array(grad_x, None, "x gradient")
     gy = as_array(grad_y, gx.shape, "y gradient")
     g = np.stack([_channels(gx, F), _channels(gy, F)], axis=-1)  # (k, F, 2)
-    return np.matmul(g[:, :, None], warp_jac).reshape(-1, P)
+    J = np.empty((g.shape[0], F, P))
+    np.matmul(g.transpose(1, 0, 2), warp_jac, out=J.transpose(1, 0, 2))
+    return J.reshape(-1, P)
 
 
 def _warp_jacobian(warp_jac):

@@ -235,6 +235,16 @@ def test_schur_solve_checks_its_blocks(block, defect):
         schur_solve(**{**blocks, block: a})
 
 
+@pytest.mark.parametrize("half", ["cross", "g_c"])
+def test_schur_solve_takes_cross_and_g_c_together(half):
+    """`cross` without `g_c`, or `g_c` without `cross`, raises one
+    `DimensionError` naming the pair."""
+    pair = dict(cross=np.zeros((3, 2)), g_c=np.ones(3))
+    with pytest.raises(DimensionError,
+                       match="cross block and gradient on c come as a pair"):
+        schur_solve(np.eye(2), np.ones(2), **{half: pair[half]})
+
+
 def test_forward_ssd_gauss_newton_fits_like_project_out(bench):
     """At alpha = 1 the Jacobian is the image's alone, so SSD Gauss-Newton
     over (dc, dp) and PO take the same steps through the whole loop."""

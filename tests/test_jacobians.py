@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -129,6 +130,40 @@ class TestSteepestDescent:
         ref = steepest_descent_loop(*g, toy_engine.dWdp)
         np.testing.assert_allclose(got, ref, rtol=1e-14,
                                    atol=1e-14 * np.abs(ref).max())
+
+    def test_holds_the_stack_and_the_result(self, rng):
+        """At the 19k-pixel, three-channel size one call allocates the
+        (k, F, 2) gradient stack and the C-contiguous (k F, P) result,
+        which the per-pixel products write in place: no second (k F, P)
+        array, transposed or buffered."""
+        F, k, P = 19002, 3, 24
+        dW = rng.standard_normal((F, 2, P))
+        g = rng.standard_normal((2, k * F))
+        tracemalloc.start()
+        try:
+            J = steepest_descent(*g, dW)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert J.shape == (k * F, P) and J.flags.c_contiguous
+        assert peak <= J.nbytes + g.nbytes + g[0, :F].nbytes
+
+    @pytest.mark.parametrize("layout", ["F_warp_jac", "strided_gradient"])
+    def test_layout_of_input_is_immaterial(self, toy_engine, rng, layout):
+        """An F-ordered warp Jacobian or strided gx/gy views give the
+        contiguous input's array, still C-contiguous."""
+        F, k = toy_engine.n_pixels, 3
+        dW = toy_engine.dWdp
+        g = rng.standard_normal((2, k * F))
+        want = steepest_descent(*g, dW)
+        if layout == "F_warp_jac":
+            dW = np.asfortranarray(dW)
+        else:
+            g = np.asfortranarray(g)
+            assert not g[0].flags.contiguous
+        got = steepest_descent(*g, dW)
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("call", [
