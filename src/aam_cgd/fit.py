@@ -6,11 +6,13 @@ for SSD, else Bayesian project-out (BPO) at rho; rho = 0 is project-out
 1 forward, between asymmetric) and the solver (Gauss-Newton or Newton).
 Each step warps the image once, at the current p (SSD's start c is the
 first warp's least-squares projection), linearises there, solves by the
-Schur complement on dc (`schur_solve`) and composes.  SSD's blocks are
+Schur complement on dc (`schur_solve`) and composes.  Every cell hands
+the solve the same four blocks (xx, g_p, cross, g_c).  SSD's are
 cross = -A^T J and xx = J^T J under Gauss-Newton and those of
-`newton_terms_asymmetric` under Newton; PO and BPO come reduced, as
-`gn_hessian(J, cost)`.  Not covered yet: Newton for PO and BPO, and
-bidirectional composition.  Calls name modules, so a tracer can wrap them.
+`newton_terms_asymmetric` under Newton; PO and BPO are the m = 0 case,
+an empty cross and g_c with xx = `gn_hessian(J, cost)`.  Not covered
+yet: Newton for PO and BPO, and bidirectional composition.  Calls name
+modules, so a tracer can wrap them.
 """
 
 from dataclasses import dataclass
@@ -19,7 +21,7 @@ from numbers import Integral
 import numpy as np
 
 from . import appearance, jacobians, shape_model, warp
-from .errors import ConfigError, DimensionError, RankDeficiencyError
+from .errors import ConfigError, RankDeficiencyError
 
 STEP_TOL_PX = 0.01    # stop when the RMS landmark step falls below this
 
@@ -94,19 +96,20 @@ def fit(prep, image, p):
 
 
 def _linearize(prep, i, c):
-    """(xx, g_p, cross, g_c) at (i, c); PO and BPO have no cross or g_c."""
+    """(xx, g_p, cross, g_c) at (i, c); PO and BPO are m = 0."""
     cfg, eng, app, cost = prep.config, prep.engine, prep.app, prep.cost
     t = app.mean if cost is not None else \
         appearance.appearance_instance(app, c)
     r = i - t
+    no_c = np.zeros((0, eng.model.n_params)), np.zeros(0)
     if prep.fixed is not None:
-        return prep.fixed[1], prep.fixed[0].T @ r
+        return prep.fixed[1], prep.fixed[0].T @ r, *no_c
     J = jacobians.steepest_descent(*jacobians.blend_gradients(
         jacobians.image_gradient(i, eng.frame),
         jacobians.image_gradient(t, eng.frame), cfg.alpha), eng.dWdp)
     if cost is not None:
         return (jacobians.gn_hessian(J, cost),
-                J.T @ appearance.project_out(cost, r))
+                J.T @ appearance.project_out(cost, r), *no_c)
     g_c, g_p = -(app.basis.T @ r), J.T @ r
     if cfg.solver == "gauss_newton":
         return jacobians.gn_hessian(J), g_p, -(J.T @ app.basis).T, g_c
@@ -116,20 +119,14 @@ def _linearize(prep, i, c):
     return terms.xx, g_p, terms.cross, g_c
 
 
-def schur_solve(xx, g_p, cross=None, g_c=None):
+def schur_solve(xx, g_p, cross, g_c):
     """The step (dc, dp) of the Hessian [[I, cross], [cross^T, xx]] (as
     A^T A = I) with gradient (g_c, g_p), forming no (m + P) matrix:
     (xx - cross^T cross) dp = -(g_p - cross^T g_c), dc = -(g_c + cross dp).
-    Neither `cross` nor `g_c` means m = 0, and one without the other
-    raises `DimensionError`.  A singular system raises
-    `RankDeficiencyError`.
+    Every cell hands over all four blocks; PO and BPO are m = 0, a (0, P)
+    cross and a (0,) g_c.  A singular system raises `RankDeficiencyError`.
     """
-    if (cross is None) != (g_c is None):
-        raise DimensionError("cross block and gradient on c come as a "
-                             "pair: got one without the other")
     g_p = shape_model.as_array(g_p, (None,), "gradient on p")
-    if cross is None:
-        cross, g_c = np.zeros((0, g_p.size)), np.zeros(0)
     xx = shape_model.as_array(xx, (g_p.size,) * 2, "p block")
     cross = shape_model.as_array(cross, (None, g_p.size), "cross block")
     g_c = shape_model.as_array(g_c, (len(cross),), "gradient on c")

@@ -177,10 +177,15 @@ def bilinear_vector(frame, coeffs_per_channel):
     return np.concatenate(chans)
 
 
-def make_bilinear_appearance(frame, rng, m=2, k=1, noise=0.05):
-    """Appearance model whose mean and basis columns are bilinear fields."""
+def make_bilinear_appearance(frame, rng, m=2, k=1, noise=0.05,
+                             bilinear=True):
+    """Appearance model whose mean and basis columns are bilinear fields,
+    or linear ones if not `bilinear`: each draw's x y coefficient is then
+    zeroed, so the random stream is the same."""
+    scale = np.array([1.0, 0.12, 0.12, 0.01 if bilinear else 0.0])
+
     def draw():
-        return rng.standard_normal(4) * np.array([1.0, 0.12, 0.12, 0.01])
+        return rng.standard_normal(4) * scale
 
     cols = np.column_stack(
         [bilinear_vector(frame, [draw() for _ in range(k)])
@@ -213,6 +218,16 @@ def field_at(frame, vec, positions):
     return (design(positions) @ coef).T.ravel()
 
 
+def dense_bpo(app, rho):
+    """The dense Bayesian project-out weight
+    rho A D^-1 A^T + ((1 - rho) / sigma^2) (I - A A^T), D the eigenvalues
+    plus sigma^2, written from the model's basis, eigenvalues and noise."""
+    A, s2 = app.basis, app.image_noise
+    ortho = np.eye(A.shape[0]) - A @ A.T
+    return (rho * A @ np.diag(1.0 / (app.eigenvalues + s2)) @ A.T
+            + (1.0 - rho) / s2 * ortho)
+
+
 class BidirectionalCost:
     """Oracle for 0.5 || i[dp] - (mean + A (c + dc))[dq] ||^2 over the
     whole frame, v[dp] being v evaluated at W(x; dp).  The asymmetric
@@ -233,11 +248,15 @@ class BidirectionalCost:
         self.i_vec = i_vec
         self.c = np.asarray(c, dtype=np.float64)
 
-    def __call__(self, dc, dp, dq):
+    def residual(self, dc, dp, dq):
+        """i[dp] - (mean + A (c + dc))[dq], channel-major."""
         eng = self.engine
         model_vec = appearance_instance(self.appearance, self.c + dc)
-        r = (field_at(eng.frame, self.i_vec, eng.increment_positions(dp))
-             - field_at(eng.frame, model_vec, eng.increment_positions(dq)))
+        return (field_at(eng.frame, self.i_vec, eng.increment_positions(dp))
+                - field_at(eng.frame, model_vec, eng.increment_positions(dq)))
+
+    def __call__(self, dc, dp, dq):
+        r = self.residual(dc, dp, dq)
         return 0.5 * float(r @ r)
 
 
@@ -257,19 +276,22 @@ class ToyState:
         return self.appearance.n_features // self.engine.frame.n_pixels
 
 
-def make_toy_state(rng, v=6, n_modes=2, m=2, k=1, radius=5.0):
+def make_toy_state(rng, v=6, n_modes=2, m=2, k=1, radius=5.0,
+                   bilinear=True):
+    """A `ToyState` whose image and model are bilinear fields, or linear
+    ones if not `bilinear`, from the same random draws."""
     from conftest import make_toy_shape_model
     from aam_cgd.warp import WarpEngine
 
     shape_model = make_toy_shape_model(rng, v=v, n_modes=n_modes,
                                        radius=radius)
     engine = WarpEngine.build(shape_model)
-    appearance = make_bilinear_appearance(engine.frame, rng, m=m, k=k)
+    appearance = make_bilinear_appearance(engine.frame, rng, m=m, k=k,
+                                          bilinear=bilinear)
     c_true = 0.5 * rng.standard_normal(m)
+    scale = np.array([0.3, 0.05, 0.05, 0.004 if bilinear else 0.0])
     off_span = bilinear_vector(
-        engine.frame,
-        [rng.standard_normal(4) * np.array([0.3, 0.05, 0.05, 0.004])
-         for _ in range(k)])
+        engine.frame, [rng.standard_normal(4) * scale for _ in range(k)])
     i_vec = appearance_instance(appearance, c_true) + off_span
     c = 0.3 * rng.standard_normal(m)
     return ToyState(engine, appearance, i_vec, c)
