@@ -15,8 +15,8 @@ import numpy as np
 from scipy.linalg.blas import daxpy
 
 from .errors import ConfigError, DimensionError, InsufficientDataError
-from .shape_model import (_check_linear_model, _freeze, as_array, as_vector,
-                          pca, require_finite)
+from .shape_model import (_check_linear_model, _freeze, _pca, as_array,
+                          as_vector, require_finite)
 
 SIGMA_FLOOR_REL = 1e-8
 SIGMA_FLOOR_ABS = 1e-12
@@ -66,8 +66,8 @@ def build_appearance_model(warped_images, n_components=None):
     operator stays well defined; SIGMA_FLOOR_ABS if both are 0.
 
     The stacked, centred training matrix is the only data-sized array the
-    build makes: with fewer images than values, `pca` forms the basis in
-    its buffer.
+    build makes, and no other code holds it: with fewer images than values,
+    `_pca` forms the basis in its buffer.
     """
     if len(warped_images) < 2:
         raise InsufficientDataError("need at least 2 warped images")
@@ -84,8 +84,8 @@ def build_appearance_model(warped_images, n_components=None):
     require_finite("warped vectors", data_mean)
     X -= data_mean
 
-    basis, evals = pca(X, float(data_mean @ data_mean), n_components,
-                       "appearance")
+    basis, evals = _pca(X, float(data_mean @ data_mean), n_components,
+                        "appearance")
     discarded = evals[basis.shape[1]:]
     top = float(evals[0]) if evals.size else 0.0
     noise = max(float(discarded.mean()) if discarded.size else 0.0,

@@ -1,6 +1,6 @@
 """Point distribution model: Procrustes alignment, PCA and the similarity-
-augmented orthonormal shape basis.  `pca` and `orthonormalize` also build
-the appearance model.
+augmented orthonormal shape basis.  The private in-place steps `_pca` and
+`_orthonormalize` also build the appearance model.
 
 Shapes are flat float64 vectors of length 2v with interleaved coordinates
 (x1, y1, ..., xv, yv).  The alignment reads them as v complex landmarks
@@ -21,8 +21,8 @@ N_SIMILARITY = 4
 
 PROCRUSTES_MAX_ITERS = 100
 PROCRUSTES_TOL = 1e-10
-PIVOT_TOL = 1e-6      # orthonormalize: smallest pivot / column norm
-_GRAM_BLOCK = 4096    # pca: columns per in-place block, 3.3 MB at m = 100
+PIVOT_TOL = 1e-6      # _orthonormalize: smallest pivot / column norm
+_GRAM_BLOCK = 4096    # _pca: columns per in-place block, 3.3 MB at m = 100
 
 
 def as_shape(points):
@@ -146,13 +146,13 @@ def similarity_basis(mean):
     takes the centroid out of the last two, as the translations precede them.
     """
     pts = shape_to_points(mean)
-    cols = np.zeros((pts.size, 4))
+    cols = np.zeros((pts.size, 4), order="F")
     cols[0::2, 0] = 1.0                      # d/d tx
     cols[1::2, 1] = 1.0                      # d/d ty
     cols[:, 2] = pts.ravel()                 # d/d scale
     rot90 = np.column_stack([-pts[:, 1], pts[:, 0]])
     cols[:, 3] = rot90.ravel()               # d/d angle
-    return orthonormalize(cols)
+    return _orthonormalize(cols)
 
 
 @dataclass(frozen=True)
@@ -230,8 +230,8 @@ def _resolve_n_components(n_components, evals, what):
     return n_keep
 
 
-def orthonormalize(C):
-    """Cholesky QR: Q = C L^-T with C^T C = L L^T.
+def _orthonormalize(C):
+    """Cholesky QR: Q = C L^-T with C^T C = L L^T, formed in C's buffer.
 
     Column j of Q lies in the span of C's first j columns and has a
     positive inner product with C[:, j] (L has a positive diagonal), so
@@ -241,12 +241,10 @@ def orthonormalize(C):
     fails on them or leaves a round-off pivot, about sqrt(eps) = 1.5e-8
     of the column's norm, which `PIVOT_TOL` rejects.
 
-    Q is column-major, formed in place by one triangular multiply with
-    the small inverse L^-T.  A writeable, column-major float64 C is
-    overwritten and returned as Q, so no second (dim, n) array is made;
-    any other C is copied first and left unchanged.
+    C must be a column-major, writeable float64 array that its caller
+    made: one triangular multiply with the small inverse L^-T overwrites
+    it and returns it as Q, so no second (dim, n) array is made.
     """
-    C = as_array(C, (None, None), "columns")
     gram = C.T @ C
     require_finite("Gram matrix of the columns", gram)
     try:
@@ -258,14 +256,13 @@ def orthonormalize(C):
     if dependent:
         raise DegeneracyError("cannot orthonormalize linearly dependent "
                               "columns")
-    Q = np.require(C, requirements=["F_CONTIGUOUS", "WRITEABLE"])
-    if Q.shape[1] == 0:               # LAPACK rejects a 0 x 0 factor
-        return Q
+    if C.shape[1] == 0:               # LAPACK rejects a 0 x 0 factor
+        return C
     L_inv = dtrtri(L, lower=1)[0]     # info is 0: L is non-empty, pivots > 0
-    return dtrmm(1.0, L_inv, Q, side=1, lower=1, trans_a=1, overwrite_b=1)
+    return dtrmm(1.0, L_inv, C, side=1, lower=1, trans_a=1, overwrite_b=1)
 
 
-def pca(X, ref_norm2, n_components, what):
+def _pca(X, ref_norm2, n_components, what):
     """Principal components of the rows of a centred (n_samples, dim) X.
 
     Eigendecomposes the smaller of the Gram matrix X X^T and the covariance
@@ -276,18 +273,14 @@ def pca(X, ref_norm2, n_components, what):
     selects (see `_resolve_n_components`), column-major, and every
     eigenvalue above the floor, descending.
 
-    On the Gram side (n_samples < dim) the modes are formed in X's own
-    buffer, so the build holds no second data-sized array: an owned,
-    C-contiguous, writeable float64 X is consumed (cut to its first
-    n_keep rows, which become the returned modes), and the caller must
-    hold no view of it.  Any other X is copied first and left unchanged.
+    X must be an owned, C-contiguous, writeable float64 array that its
+    caller made and nothing else references: on the Gram side
+    (n_samples < dim) the modes are formed in X's own buffer, which is cut
+    to its first n_keep rows, so the build holds no second data-sized
+    array.
     """
-    X = as_array(X, (None, None), f"{what} samples")
     n_samples, dim = X.shape
     gram_side = n_samples < dim
-    if gram_side:
-        X = np.require(X, requirements=["C_CONTIGUOUS", "WRITEABLE",
-                                        "OWNDATA"])
     small = (X @ X.T if gram_side else X.T @ X) / (n_samples - 1)
     require_finite(f"{what} sample covariance", small)
     evals, evecs = np.linalg.eigh(small)
@@ -302,13 +295,13 @@ def pca(X, ref_norm2, n_components, what):
     # Row j of V^T X overwrites row j of X one column block at a time:
     # block b of the product reads only block b of X, which no earlier
     # block wrote.  Cutting X to n_keep rows frees the tail, and the
-    # transposed rows are the column-major modes `orthonormalize`
+    # transposed rows are the column-major modes `_orthonormalize`
     # overwrites.
     Vt = evecs[:, :n_keep].T
     for j in range(0, dim, _GRAM_BLOCK):
         X[:n_keep, j:j + _GRAM_BLOCK] = Vt @ X[:, j:j + _GRAM_BLOCK]
     X.resize((n_keep, dim), refcheck=False)
-    return orthonormalize(X.T), evals
+    return _orthonormalize(X.T), evals
 
 
 def build_shape_model(aligned, mean, n_components=None):
@@ -329,10 +322,10 @@ def build_shape_model(aligned, mean, n_components=None):
     # Non-rigid modes live in the complement of the similarity span, which
     # holds the mean: projecting centres X and keeps the basis orthonormal.
     X -= (X @ sim) @ sim.T
-    comps, evals = pca(X, float(mean @ mean), n_components, "shape")
+    comps, evals = _pca(X, float(mean @ mean), n_components, "shape")
 
     # Final pass to remove residual round-off coupling.
-    basis = orthonormalize(np.hstack([sim, comps]))
+    basis = _orthonormalize(np.asfortranarray(np.hstack([sim, comps])))
     mean = mean.copy()
     eigenvalues = evals[:comps.shape[1]].copy()
     _freeze(mean, basis, eigenvalues)

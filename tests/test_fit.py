@@ -15,6 +15,7 @@ oracles' toy state.
 import dataclasses
 import importlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,9 +27,9 @@ from aam_cgd.errors import ConfigError, DimensionError, RankDeficiencyError
 from aam_cgd.fit import FitConfig, _linearize, fit, prepare, schur_solve
 from aam_cgd.jacobians import gn_hessian, image_gradient, steepest_descent
 from aam_cgd.shape_model import (build_shape_model, face_size,
-                                 orthonormalize, pca, procrustes_align,
-                                 project_shape, shape_instance,
-                                 shape_to_points)
+                                 procrustes_align, project_shape,
+                                 shape_instance, shape_to_points,
+                                 similarity_basis)
 
 from oracles import (BidirectionalCost, dense_bpo, fd_gradient, fd_hessian,
                      make_toy_state)
@@ -370,77 +371,99 @@ MALFORMED = {      # a valid argument -> a malformed one of its kind
 }
 
 
+ENTRY_POINTS = {    # name -> (valid argument, call on it), read from `entry`
+    "shape_instance": lambda e: (e.p, lambda x: shape_instance(e.model, x)),
+    "project_shape": lambda e: (e.s, lambda x: project_shape(e.model, x)),
+    "procrustes_align": lambda e: (e.s, lambda x: procrustes_align([x, e.s])),
+    "face_size": lambda e: (e.s, face_size),
+    "similarity_basis": lambda e: (e.s, similarity_basis),
+    "build_shape_model": lambda e: (
+        e.s, lambda x: build_shape_model([x, e.s], e.s)),
+    "appearance_instance": lambda e: (
+        np.zeros(e.app.n_components),
+        lambda x: appearance_instance(e.app, x)),
+    "project_appearance": lambda e: (
+        e.v, lambda x: project_appearance(e.app, x)),
+    "build_appearance_model": lambda e: (
+        e.v, lambda x: build_appearance_model([x, e.v])),
+    "project_out": lambda e: (e.v, lambda x: project_out(e.app, x)),
+    "warp_to_reference_image": lambda e: (
+        e.image, lambda x: warp.warp_to_reference(x, e.s, e.frame, e.tri)),
+    "warp_to_reference_shape": lambda e: (
+        e.s, lambda x: warp.warp_to_reference(e.image, x, e.frame, e.tri)),
+    "compose": lambda e: (e.p, lambda x: warp.compose(e.model, e.tri, e.p, x)),
+    "image_gradient": lambda e: (e.v, lambda x: image_gradient(x, e.frame)),
+    "steepest_descent": lambda e: (
+        e.v, lambda x: steepest_descent(x, e.v, e.dW)),
+    "blend_gradients": lambda e: (
+        e.second[:2],
+        lambda x: jacobians.blend_gradients(x, e.second[:2], 0.5)),
+    "gn_hessian": lambda e: (e.J[:64], gn_hessian),
+    "residual_curvature": lambda e: (
+        e.second, lambda x: jacobians.residual_curvature(x, e.dW, e.v)),
+    "newton_terms_asymmetric_residual": lambda e: (
+        e.v, lambda x: jacobians.newton_terms_asymmetric(
+            e.app, e.frame, e.dW, x, e.second, e.second, e.J, 0.5)),
+    "newton_terms_bidirectional_J_i": lambda e: (
+        e.J, lambda x: jacobians.newton_terms_bidirectional(
+            e.app, e.frame, e.dW, e.v, e.second, e.second, x, e.J)),
+    "increment_positions": lambda e: (e.p, e.eng.increment_positions),
+    "rasterize_barycentric": lambda e: (
+        e.frame.positions[:8], lambda x: warp.rasterize_barycentric(
+            shape_to_points(e.model.mean), e.tri.triangles, x)),
+    "sample_frame_image": lambda e: (
+        e.frame.positions[:8], lambda x: warp.sample_frame_image(
+            e.frame.to_grid(e.v), e.frame, x)),
+    "fit_image": lambda e: (e.image, lambda x: fit(e.prep, x, e.p)),
+    "fit_p": lambda e: (e.p, lambda x: fit(e.prep, e.image, x)),
+    "schur_solve": lambda e: (np.eye(e.p.size), lambda x: schur_solve(
+        x, e.p, np.zeros((0, e.p.size)), np.zeros(0))),
+    "shape_to_points": lambda e: (e.s, shape_to_points),
+}
+
+
+@pytest.fixture(scope="module")
+def entry(bench):
+    """What `ENTRY_POINTS` reads: the benchmark's engine and appearance
+    model, and its first case."""
+    eng, app, case = bench.engine, bench.app, bench.cases[0]
+    v = app.mean
+    return SimpleNamespace(
+        eng=eng, app=app, model=eng.model, frame=eng.frame, tri=eng.tri,
+        dW=eng.dWdp, p=case.p_true, s=case.shape_true, v=v, image=case.image,
+        J=steepest_descent(*image_gradient(v, eng.frame), eng.dWdp),
+        second=jacobians.second_gradient(v, eng.frame),
+        prep=prepare(eng, app, bench.config("po", 0.5)))
+
+
 @pytest.mark.parametrize("kind", list(MALFORMED))
-@pytest.mark.parametrize("call", [
-    "shape_instance", "project_shape", "procrustes_align", "face_size",
-    "build_shape_model", "appearance_instance", "project_appearance",
-    "build_appearance_model", "project_out", "warp_to_reference_image",
-    "warp_to_reference_shape", "compose", "image_gradient",
-    "steepest_descent", "blend_gradients", "gn_hessian",
-    "residual_curvature", "newton_terms_asymmetric_residual",
-    "newton_terms_bidirectional_J_i", "increment_positions",
-    "rasterize_barycentric", "sample_frame_image", "fit_image", "fit_p",
-    "schur_solve", "orthonormalize", "pca", "shape_to_points"])
-def test_malformed_input_raises(bench, call, kind):
+@pytest.mark.parametrize("call", list(ENTRY_POINTS))
+def test_malformed_input_raises(entry, call, kind):
     """Strings (even numeric ones, which numpy would parse), ragged
     nesting and complex values (even with a zero imaginary part) in one
     argument of a valid call raise `DimensionError` from the one
     conversion rule, not numpy's `ValueError` or a `ComplexWarning`."""
-    eng, app, case = bench.engine, bench.app, bench.cases[0]
-    model, frame, tri, dW = eng.model, eng.frame, eng.tri, eng.dWdp
-    p, s, v, image = case.p_true, case.shape_true, app.mean, case.image
-    J = steepest_descent(*image_gradient(v, frame), dW)
-    second = jacobians.second_gradient(v, frame)
-    prep = prepare(eng, app, bench.config("po", 0.5))
-    calls = {        # name -> (valid argument, call on that argument)
-        "shape_instance": (p, lambda x: shape_instance(model, x)),
-        "project_shape": (s, lambda x: project_shape(model, x)),
-        "procrustes_align": (s, lambda x: procrustes_align([x, s])),
-        "face_size": (s, face_size),
-        "build_shape_model": (s, lambda x: build_shape_model([x, s], s)),
-        "appearance_instance": (np.zeros(app.n_components),
-                                lambda x: appearance_instance(app, x)),
-        "project_appearance": (v, lambda x: project_appearance(app, x)),
-        "build_appearance_model": (
-            v, lambda x: build_appearance_model([x, v])),
-        "project_out": (v, lambda x: project_out(app, x)),
-        "warp_to_reference_image": (
-            image, lambda x: warp.warp_to_reference(x, s, frame, tri)),
-        "warp_to_reference_shape": (
-            s, lambda x: warp.warp_to_reference(image, x, frame, tri)),
-        "compose": (p, lambda x: warp.compose(model, tri, p, x)),
-        "image_gradient": (v, lambda x: image_gradient(x, frame)),
-        "steepest_descent": (v, lambda x: steepest_descent(x, v, dW)),
-        "blend_gradients": (second[:2], lambda x: jacobians.blend_gradients(
-            x, second[:2], 0.5)),
-        "gn_hessian": (J[:64], gn_hessian),
-        "residual_curvature": (second, lambda x: jacobians.residual_curvature(
-            x, dW, v)),
-        "newton_terms_asymmetric_residual": (
-            v, lambda x: jacobians.newton_terms_asymmetric(
-                app, frame, dW, x, second, second, J, 0.5)),
-        "newton_terms_bidirectional_J_i": (
-            J, lambda x: jacobians.newton_terms_bidirectional(
-                app, frame, dW, v, second, second, x, J)),
-        "increment_positions": (p, eng.increment_positions),
-        "rasterize_barycentric": (
-            frame.positions[:8], lambda x: warp.rasterize_barycentric(
-                shape_to_points(model.mean), tri.triangles, x)),
-        "sample_frame_image": (
-            frame.positions[:8], lambda x: warp.sample_frame_image(
-                frame.to_grid(v), frame, x)),
-        "fit_image": (image, lambda x: fit(prep, x, p)),
-        "fit_p": (p, lambda x: fit(prep, image, x)),
-        "schur_solve": (np.eye(p.size), lambda x: schur_solve(
-            x, p, np.zeros((0, p.size)), np.zeros(0))),
-        "orthonormalize": (model.basis, orthonormalize),
-        "pca": (model.basis.T, lambda x: pca(x, 1.0, None, "shape")),
-        "shape_to_points": (s, shape_to_points),
-    }
-    valid, f = calls[call]
+    valid, f = ENTRY_POINTS[call](entry)
     f(valid)
     with pytest.raises(DimensionError, match="rectangular|real numbers"):
         f(MALFORMED[kind](valid))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("call", list(ENTRY_POINTS))
+def test_arguments_are_left_alone(entry, call, order):
+    """No public function writes into, resizes or frees its argument: an
+    owned, writeable float64 copy of a valid argument, in C or F order,
+    keeps its shape and bits through the call, and so does a view of it
+    taken before.  The two-sample builders take the Gram side of the
+    in-place PCA and Cholesky QR on buffers of their own."""
+    valid, f = ENTRY_POINTS[call](entry)
+    arg = np.array(valid, dtype=np.float64, order=order)
+    view, before = arg.view(), arg.copy()
+    f(arg)
+    assert arg.shape == before.shape
+    assert arg.tobytes() == before.tobytes()
+    assert view.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("fields", [

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from aam_cgd import shape_model
 from aam_cgd.errors import (DegeneracyError, DimensionError,
                             InsufficientDataError)
-from aam_cgd.shape_model import (as_shape, build_shape_model, face_size,
-                                 orthonormalize, pca, procrustes_align,
-                                 project_shape, shape_instance,
-                                 similarity_basis)
+from aam_cgd.shape_model import (_orthonormalize, _pca, as_shape,
+                                 build_shape_model, face_size,
+                                 procrustes_align, project_shape,
+                                 shape_instance, similarity_basis)
 
 from oracles import similarity_lstsq
 
@@ -321,7 +321,7 @@ def assert_oriented_and_nested(q, raw):
 class TestBasisOrientation:
     def test_orthonormalize_badly_scaled_columns(self, rng):
         C = rng.standard_normal((40, 8)) * np.geomspace(1e3, 1e-3, 8)
-        q = orthonormalize(C)
+        q = _orthonormalize(np.asfortranarray(C))
         np.testing.assert_allclose(q.T @ q, np.eye(8), atol=1e-14)
         assert_oriented_and_nested(q, C)
 
@@ -329,40 +329,28 @@ class TestBasisOrientation:
         C = rng.standard_normal((10, 3))
         C[:, 1] = 0.0
         with pytest.raises(DegeneracyError):
-            orthonormalize(C)
+            _orthonormalize(C)
 
     def test_orthonormalize_no_columns(self, capfd):
         """An empty basis (a shape model with no non-rigid modes) comes
         back empty, and LAPACK is not called to print an error."""
-        q = orthonormalize(np.zeros((10, 0)))
+        q = _orthonormalize(np.zeros((10, 0)))
         assert q.shape == (10, 0)
         assert capfd.readouterr() == ("", "")
 
     def test_orthonormalize_in_place_on_column_major(self, rng):
         C = np.asfortranarray(rng.standard_normal((40, 8)))
         raw = C.copy()
-        q = orthonormalize(C)
+        q = _orthonormalize(C)
         assert np.shares_memory(q, C) and q.flags.f_contiguous
         np.testing.assert_allclose(q.T @ q, np.eye(8), atol=1e-14)
-        assert_oriented_and_nested(q, raw)
-
-    @pytest.mark.parametrize("layout", ["c_ordered", "read_only"])
-    def test_orthonormalize_leaves_argument(self, rng, layout):
-        C = rng.standard_normal((40, 8))
-        if layout == "read_only":
-            C = np.asfortranarray(C)
-            C.setflags(write=False)
-        raw = C.copy()
-        q = orthonormalize(C)
-        np.testing.assert_array_equal(C, raw)
-        assert not np.shares_memory(q, C) and q.flags.f_contiguous
         assert_oriented_and_nested(q, raw)
 
     def test_orthonormalize_nan_column_rejected(self, rng):
         C = rng.standard_normal((10, 3))
         C[4, 1] = np.nan
         with pytest.raises(DimensionError, match="non-finite"):
-            orthonormalize(C)
+            _orthonormalize(C)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_orthonormalize_round_off_pivot(self, seed):
@@ -371,7 +359,7 @@ class TestBasisOrientation:
         others; both must raise."""
         c, r = np.random.default_rng(seed).standard_normal((2, 10))
         with pytest.raises(DegeneracyError):
-            orthonormalize(np.column_stack([c, 3 * c + 1e-17, r]))
+            _orthonormalize(np.column_stack([c, 3 * c + 1e-17, r]))
 
     @pytest.mark.parametrize("scale", [1e-3, 1e5])
     def test_similarity_basis(self, rng, scale):
@@ -390,7 +378,7 @@ class TestBasisOrientation:
         X = np.stack(shapes) - mean
         sim = similarity_basis(mean)
         X -= (X @ sim) @ sim.T
-        modes, _ = pca(X, float(mean @ mean), None, "shape")
+        modes, _ = _pca(X, float(mean @ mean), None, "shape")
         assert modes.shape[1] == model.n_nonrigid > 0
         assert_oriented_and_nested(
             model.basis, np.hstack([raw_similarity(mean), modes]))
@@ -401,32 +389,7 @@ def test_pca_nan_sample_rejected(rng, n_samples):
     X = rng.standard_normal((n_samples, 30))
     X[3, 7] = np.nan
     with pytest.raises(DimensionError, match="non-finite shape"):
-        pca(X, 1.0, None, "shape")
-
-
-@pytest.mark.parametrize("layout", ["view", "fortran", "float32",
-                                    "read_only"])
-def test_pca_leaves_other_inputs_unchanged(rng, layout):
-    """The Gram side consumes only an owned, C-contiguous, writeable
-    float64 X; any other X is copied, left as it was, and gives the modes
-    of its float64 copy."""
-    X = rng.standard_normal((8, 30))
-    X -= X.mean(axis=0)
-    if layout == "view":
-        X = np.vstack([X, X])[:8]
-    elif layout == "fortran":
-        X = np.asfortranarray(X)
-    elif layout == "float32":
-        X = X.astype(np.float32)
-    else:
-        X.setflags(write=False)
-    before = X.copy()
-    modes, evals = pca(X, 1.0, 5, "shape")
-    np.testing.assert_array_equal(X, before)
-    assert X.shape == before.shape
-    ref_modes, ref_evals = pca(np.array(X, dtype=np.float64), 1.0, 5, "shape")
-    np.testing.assert_array_equal(modes, ref_modes)
-    np.testing.assert_array_equal(evals, ref_evals)
+        _pca(X, 1.0, None, "shape")
 
 
 class TestInstanceProject:
