@@ -9,23 +9,23 @@ images use array coordinates where position (x, y) reads
 pixels[int(y), int(x)].
 
 Warping an image onto the frame is three sparse products.  The warp is
-linear in the landmarks: `Triangulation.interp` is a sparse (F, n_points)
-operator of barycentric weights, three per row, and its products with
-the landmarks' x and y coordinates place the masked pixels under the
-warp that takes the mean shape onto them.  These are two one-column
-products, not one with the (n_points, 2) landmarks: with the stacking
-of their results they are still faster than scipy's two-column
-product, give the same bits, and leave each coordinate a contiguous
-column for the sampler.  Sampling is linear in the pixels:
-`bilinear_sample` builds a sparse (F, H * W) operator with the four
-bilinear weights of each warped position's cell, writing them straight
-into its CSR arrays, and its product with the image's (H * W, k) pixel
-rows gives the warped values.
+linear in the landmarks: `Triangulation.interp`, a sparse (F, n_points)
+operator of barycentric weights (three per row), places the masked
+pixels under the warp that takes the mean shape onto the landmarks by
+one product with their x and one with their y coordinates (with the
+stacking, faster than one two-column product, with the same bits, and
+each coordinate a contiguous column for the sampler).  Sampling is
+linear in the pixels: `bilinear_sample` writes the four bilinear weights
+of each warped position's cell straight into the CSR arrays of a sparse
+(F, H * W) operator and applies it to the image's (H * W, k) pixel rows.
 
 Composition reuses the mesh: `Triangulation.landmark_grad` (2v, v) holds
 in row 2u + a the x_a-derivatives of the barycentric weights averaged over
 the triangles at landmark u, so its product with the current landmarks is
-the warp's averaged Jacobian (transposed) at each of them.
+the warp's averaged Jacobian (transposed) at each of them.  Both come
+from the edge inverses of `_triangle_edges` (after the sliver rule): the
+weights through `_barycentric`, as in `rasterize_barycentric`, and the
+gradients as their columns.  Qhull only triangulates and locates.
 
 Warped image vectors are channel-major: vec[ch * F + i] holds channel
 `ch` at masked pixel `i`.
@@ -94,35 +94,29 @@ class Triangulation:
 def rasterize_barycentric(vertices, triangles, queries):
     """Locate (n, 2) query points in a mesh of (v, 2) vertices.
 
-    Returns (tri_id, bary) where tri_id[i] is the first triangle containing
-    queries[i] (-1 if none) and bary[i] its clipped, renormalized
-    barycentric coordinates.  Containment allows coordinates
-    >= -BARYCENTRIC_TOL so that points exactly on edges are kept.  Every
+    Returns (tri_id, bary): tri_id[i] is the first triangle containing
+    queries[i] (-1 if none; its coordinates >= -BARYCENTRIC_TOL keep points
+    on edges) and bary[i] its `_barycentric` coordinates (0 if none).  Every
     triangle passes `_triangle_edges` before any query is located, so a
     degenerate one raises `DegeneracyError` wherever it lies in the list.
     """
-    a, e1, e2, det = _triangle_edges(as_array(
+    a, inv = _triangle_edges(as_array(
         vertices, (None, 2), "mesh vertices")[np.reshape(triangles, (-1, 3))])
     queries = as_array(queries, (None, 2), "query points")
     tri_id = np.full(len(queries), -1, dtype=np.int64)
     bary = np.zeros((len(queries), 3))
-    for t in range(det.size):
-        inv = np.array([[e2[t, 1], -e2[t, 0]],
-                        [-e1[t, 1], e1[t, 0]]]) / det[t]
-        uv = (queries - a[t]) @ inv.T
-        coords = np.column_stack([1.0 - uv[:, 0] - uv[:, 1], uv])
-        hit = np.all(coords >= -BARYCENTRIC_TOL, axis=1) & (tri_id < 0)
-        tri_id[hit] = t
-        bary[hit] = np.clip(coords[hit], 0.0, None)
-    norm = bary.sum(axis=1)
-    good = norm > 0
-    bary[good] /= norm[good, None]
+    for t in reversed(range(len(a))):     # so the first triangle wins
+        coords, inside = _barycentric(queries, a[t], inv[t])
+        tri_id[inside] = t
+        bary[inside] = coords[inside]
     return tri_id, bary
 
 
 def _triangle_edges(corners):
-    """(a, e1, e2, det) of (T, 3, 2) corners, e1 and e2 the edges from a.
-    The one scale-free mesh rule: the first triangle with a NaN det or
+    """(a, inv) of (T, 3, 2) corners: the first corner a and [e1 e2]^-T,
+    e1 and e2 the edges from a, whose columns are the gradients of corners
+    1 and 2's coordinates.  The one scale-free mesh rule guards the
+    division: the first triangle with a NaN det or
     |det| <= SLIVER_TOL max(|e1|^2, |e2|^2) raises `DegeneracyError`."""
     a = corners[:, 0]
     e1, e2 = corners[:, 1] - a, corners[:, 2] - a
@@ -131,7 +125,21 @@ def _triangle_edges(corners):
     bad = np.flatnonzero(~(np.abs(det) > SLIVER_TOL * scale))
     if bad.size:
         raise DegeneracyError(f"degenerate triangle {bad[0]} in mesh")
-    return a, e1, e2, det
+    inv = np.stack([e2[:, 1], -e1[:, 1], -e2[:, 0], e1[:, 0]], axis=1)
+    return a, (inv / det[:, None]).reshape(-1, 2, 2)
+
+
+def _barycentric(points, a, inv):
+    """(n, 3) coordinates of (n, 2) points in one triangle of first corner a
+    and C-ordered `_triangle_edges` inverse inv, clipped at 0 and
+    renormalised, and whether all were >= -BARYCENTRIC_TOL.  A point's bits
+    do not depend on the other points of the (n, 2) @ (2, 2) product."""
+    uv = (points - a) @ inv
+    coords = np.column_stack([1.0 - uv[:, 0] - uv[:, 1], uv])
+    inside = np.all(coords >= -BARYCENTRIC_TOL, axis=1)
+    np.clip(coords, 0.0, None, out=coords)
+    coords /= coords.sum(axis=1, keepdims=True)
+    return coords, inside
 
 
 def _difference_operator(neighbors):
@@ -161,10 +169,9 @@ def build_reference_frame(model):
     are all >= -BARYCENTRIC_TOL (and it is that close to the bounding box).
     Tie rule, as in `rasterize_barycentric`: a point on a shared edge or
     vertex takes the lowest-numbered triangle, so `find_simplex` runs
-    brute force, not its order-dependent walk.  Weights are clipped at 0
-    and renormalised.  A landmark that lies in no triangle, such as a
-    repeated point, and a sliver (`_triangle_edges`, checked before Qhull's
-    `transform` is read) raise `DegeneracyError`.
+    brute force, not its order-dependent walk; the weights are that
+    loop's, bit for bit.  A landmark in no triangle, such as a repeated
+    point, and a sliver raise `DegeneracyError`.
     """
     pts = shape_to_points(model.mean)
     try:
@@ -172,16 +179,14 @@ def build_reference_frame(model):
     except QhullError as exc:
         raise DegeneracyError(f"mean shape cannot be triangulated: {exc}")
     triangles = np.ascontiguousarray(delaunay.simplices, dtype=np.int64)
-    _triangle_edges(pts[triangles])
+    a, inv = _triangle_edges(pts[triangles])
     v = pts.shape[0]
     count = np.bincount(triangles.ravel(), minlength=v)
     if np.any(count == 0):
         raise DegeneracyError("landmark in no triangle of the mean shape")
 
-    x0 = int(np.floor(pts[:, 0].min()))
-    y0 = int(np.floor(pts[:, 1].min()))
-    x1 = int(np.ceil(pts[:, 0].max()))
-    y1 = int(np.ceil(pts[:, 1].max()))
+    x0, y0 = np.floor(pts.min(axis=0)).astype(np.int64).tolist()
+    x1, y1 = np.ceil(pts.max(axis=0)).astype(np.int64).tolist()
     width, height = x1 - x0 + 1, y1 - y0 + 1
 
     cols, rows = np.meshgrid(np.arange(width), np.arange(height))
@@ -194,20 +199,16 @@ def build_reference_frame(model):
     F = int(inside.sum())
     if F == 0:
         raise DegeneracyError("mean shape covers no pixels; rescale it")
-    positions = queries[inside]
-
-    # transform[s] = (T, r): coordinates T @ (x - r), then 1 - their sum.
-    simplex = simplex[inside]
-    T = delaunay.transform[simplex]                      # (F, 3, 2)
-    uv = (T[:, :2] @ (positions - T[:, 2])[:, :, None])[:, :, 0]
-    weights = np.clip(np.column_stack([uv, 1.0 - uv.sum(axis=1)]), 0.0, None)
-    weights /= weights.sum(axis=1, keepdims=True)
+    positions, simplex = queries[inside], simplex[inside]
+    weights = np.empty((F, 3))
+    for t in range(len(a)):
+        at = np.flatnonzero(simplex == t)
+        weights[at] = _barycentric(positions[at], a[t], inv[t])[0]
     interp = csr_matrix((weights.ravel(), triangles[simplex].ravel(),
                          np.arange(0, 3 * F + 1, 3)), shape=(F, v))
-    # Weight gradients in a triangle: T[0], T[1], -T[0] - T[1].  `vals`
-    # axes: triangle, corner u (row 2u + a), vertex w (column), axis a.
-    G = delaunay.transform[:, :2]
-    G = np.concatenate([G, -G.sum(axis=1, keepdims=True)], axis=1)
+    # Weight gradients: inv's columns g1, g2 and -(g1 + g2) at corner 0.
+    # `vals` axes: triangle, corner u (row 2u + a), vertex w, axis a.
+    G = np.dstack([-inv.sum(axis=2), inv]).transpose(0, 2, 1)
     vals = G[:, None] / count[triangles][:, :, None, None]
     row = np.broadcast_to(2 * triangles[:, :, None, None] + np.arange(2),
                           vals.shape)
@@ -223,15 +224,13 @@ def build_reference_frame(model):
         index[1:-1, :-2][mask], index[1:-1, 2:][mask],     # -x, +x
         index[:-2, 1:-1][mask], index[2:, 1:-1][mask]])    # -y, +y
 
-    origin = np.array([x0, y0], dtype=np.float64)
     diff = _difference_operator(neighbors)
     frame = ReferenceFrame(
-        width=width, height=height, origin=origin, mask=mask,
-        positions=positions, neighbors=neighbors,
+        width=width, height=height, mask=mask, positions=positions,
+        origin=np.array([x0, y0], dtype=np.float64), neighbors=neighbors,
         diff=diff, diff_t=diff.T.tocsr())
-    tri = Triangulation(triangles=triangles, interp=interp,
-                        landmark_grad=landmark_grad)
-    return frame, tri
+    return frame, Triangulation(triangles=triangles, interp=interp,
+                                landmark_grad=landmark_grad)
 
 
 def bilinear_sample(image, positions):

@@ -74,7 +74,8 @@ class TestBuildReferenceFrame:
         assert all(tuple(c) in triangles for c in corners)
 
     def test_sliver_triangle_rejected(self):
-        # scipy cannot invert this triangle's barycentric transform.
+        # det(e1, e2) = 1e-11 against edges of length 10: the sliver rule
+        # rejects it before its edges are inverted.
         sliver = SimpleNamespace(
             mean=np.array([0.0, 0.0, 10.0, 0.0, 5.0, 1e-12, 5.0, 5.0]))
         with pytest.raises(DegeneracyError):
@@ -98,9 +99,9 @@ class TestBuildReferenceFrame:
     @pytest.mark.parametrize("L", [10.0, 1000.0])
     def test_sliver_rule_is_scale_free(self, L):
         """The frame takes the rasterizer's rule on the sliver family:
-        a triangle of height ratio 1e-9 is kept at every scale, with a
-        finite transform, and one of 1e-11 is rejected, where Qhull's
-        own cut lies near 3e-13."""
+        a triangle of height ratio 1e-9 is kept at every scale, with
+        finite weights and weight gradients from its edge inverse, and
+        one of 1e-11 is rejected before that inverse is formed."""
         _, tri = build_reference_frame(SimpleNamespace(mean=_sliver(L, 1e-9)))
         assert np.isfinite(tri.interp.data).all()
         assert np.isfinite(tri.landmark_grad.data).all()
@@ -179,12 +180,28 @@ class TestInterpolationOperator:
         expected = np.zeros((frame.n_pixels, pts.shape[0]))
         np.put_along_axis(expected, tri.triangles[tri_id[inside]],
                           bary[inside], axis=1)
-        np.testing.assert_allclose(tri.interp.toarray(), expected,
-                                   rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(tri.interp.toarray(), expected)
 
     def test_border_within_tolerance_is_kept(self):
         frame, _ = build_reference_frame(_inset_square())
         assert frame.n_pixels == 25
+
+    def test_border_weights_are_clipped_and_renormalised(self):
+        """The inset square's border pixels lie just outside it, so some
+        of their coordinates, solved independently, are negative: the
+        frame stores those as 0 and renormalises the rest."""
+        model = _inset_square()
+        frame, tri = build_reference_frame(model)
+        corners = shape_to_points(model.mean)[tri.interp.indices]
+        lhs = np.concatenate([corners.reshape(-1, 3, 2).transpose(0, 2, 1),
+                              np.ones((frame.n_pixels, 1, 3))], axis=1)
+        rhs = np.column_stack([frame.positions, np.ones(frame.n_pixels)])
+        coords = np.linalg.solve(lhs, rhs[:, :, None])[:, :, 0]
+        assert -BARYCENTRIC_TOL < coords.min() < 0.0
+        want = np.clip(coords, 0.0, None)
+        want /= want.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(tri.interp.data.reshape(-1, 3), want,
+                                   rtol=0, atol=1e-14)
 
 
 class TestRasterizeBarycentric:

@@ -14,7 +14,10 @@ workload's `FitConfig` (as `tests/test_fit.py` maps it), and on the
 hash the final p, c, iteration count and stop reason.  For each of the
 two frames (6.7k and 19k pixels),
 `image_gradient` and `second_gradient` of the appearance mean and of one
-warped case image are hashed too.  The package and the benchmark come
+warped case image are hashed too, and on a line of their own the mesh
+operators `tri.interp` and `tri.landmark_grad` (data, indices and
+indptr), so a change to the frame's geometry shows apart from its
+effects.  The package and the benchmark come
 from this checkout, and BLAS runs on one thread, as in the benchmark,
 since the appearance model's last bits depend on the thread count.  Run
 it in each of two checkouts: equal lines mean equal values, shapes and
@@ -81,6 +84,11 @@ def main():
                           jacobians.second_gradient):
                     _update(digest, np.ascontiguousarray(f(v, engine.frame)))
             print(f"F = {engine.n_pixels}: {digest.hexdigest()}")
+            digest = hashlib.sha256()
+            for op in (engine.tri.interp, engine.tri.landmark_grad):
+                for a in (op.data, op.indices, op.indptr):
+                    _update(digest, a)
+            print(f"F = {engine.n_pixels} mesh: {digest.hexdigest()}")
         rng = np.random.default_rng(FIT_SEED)
         starts = []
         for j in range(FIT_CASES):
